@@ -27,13 +27,7 @@ from .classical_sim import (
     sample_initial_classical,
 )
 from .constants import kbar_for_period, thermal_sigma_recoils
-from .elliptic import (
-    EllipticTriple,
-    elliptic_K,
-    jacobi_sn_cn_dn,
-    pendulum_step,
-    pendulum_step_reference,
-)
+from .elliptic import pendulum_step, pendulum_step_reference
 from .pulse_train import (
     PulseShapeParams,
     ResolvedTimeline,
@@ -63,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassicalState",
-    "EllipticTriple",
     "EnsembleParams",
     "GridOverflowError",
     "JumpRecord",
@@ -81,7 +74,6 @@ __all__ = [
     "build_train_spec",
     "classify_lineshape",
     "dominant_phase_frequency",
-    "elliptic_K",
     "emit_outputs",
     "energy",
     "energy_stderr",
@@ -89,7 +81,6 @@ __all__ = [
     "free_evolve",
     "free_propagate",
     "init_wavefunction",
-    "jacobi_sn_cn_dn",
     "kbar_for_period",
     "kick_step",
     "maybe_spontaneous_emission",

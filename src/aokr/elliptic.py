@@ -1,219 +1,37 @@
-"""Jacobi elliptic functions and the exact pendulum propagator.
+"""The exact pendulum propagator.
 
 The classical rotor inside a pulse obeys H = rho^2/2 + k cos(phi), a
 pendulum whose flow has a closed-form solution in Jacobi elliptic
-functions.  Everything here is built on the arithmetic-geometric mean:
-K(m) from the AGM limit, sn/cn/dn from the descending-Landen amplitude
-recursion (DLMF 22.20(ii)), and the inverse (incomplete integral of the
-first kind) from the ascending amplitude transformation.
+functions.  scipy.special supplies the elliptic numerics: K(m) from
+ellipk, the incomplete integral F(phi | m) that inverts the initial
+condition from ellipkinc, and sn/cn/dn from ellipj.
+
+Within SEPARATRIX_TOL of the separatrix the closed form is not used.
+The Cephes ellipj behind scipy switches to an approximation for
+m >= 1 - 1e-10 that is badly wrong away from small u (at 1 - m = 1e-10
+it gives cn(2K) = -2 instead of -1), so the band is 1e-9 wide, clear of
+that switch, and its rows are integrated one at a time by DOP853.
 
 All functions accept scalars or numpy arrays and broadcast.
 """
 
-import math
-
 import numpy as np
-
-_EPS = np.finfo(float).eps
-_MAX_AGM_ITER = 64
+from scipy.special import ellipj, ellipk, ellipkinc
 
 # Energy window (relative to the separatrix energy) inside which the
-# closed-form branches degenerate and the stepped reference integrator
-# takes over.
-SEPARATRIX_TOL = 1e-12
-
-
-class EllipticTriple(tuple):
-    """(sn, cn, dn) triple; behaves like a tuple with named access."""
-
-    __slots__ = ()
-
-    def __new__(cls, sn, cn, dn):
-        return super().__new__(cls, (sn, cn, dn))
-
-    @property
-    def sn(self):
-        return self[0]
-
-    @property
-    def cn(self):
-        return self[1]
-
-    @property
-    def dn(self):
-        return self[2]
+# closed-form branches are replaced by the stepped reference integrator.
+# It must stay wider than the 1e-10 window where Cephes ellipj switches
+# to its m -> 1 approximation.
+SEPARATRIX_TOL = 1e-9
 
 
 def _as_float_array(x):
     return np.asarray(x, dtype=float)
 
 
-def elliptic_K(m):
-    """Complete elliptic integral of the first kind via the AGM.
-
-    K(m) = pi / (2 agm(1, sqrt(1-m))).  Requires 0 <= m < 1.
-    """
-    m_arr = _as_float_array(m)
-    if np.any(m_arr < 0.0) or np.any(m_arr >= 1.0):
-        raise ValueError("elliptic_K requires 0 <= m < 1")
-    a = np.ones_like(m_arr)
-    b = np.sqrt(1.0 - m_arr)
-    for _ in range(_MAX_AGM_ITER):
-        if np.max(np.abs(a - b)) <= 4.0 * _EPS * np.max(a):
-            break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    out = np.pi / (a + b)
-    return float(out) if np.isscalar(m) or np.ndim(m) == 0 else out
-
-
-def _agm_table(m):
-    """AGM sequence for the amplitude recursions.
-
-    Returns (depth, a_list, c_over_a_list, a_final) with c_n = (a_n - b_n)/2.
-    Entries are arrays broadcast to m's shape; depth is uniform so that
-    vectorised callers can run the backward recursion in lockstep.
-    """
-    a = np.ones_like(m)
-    b = np.sqrt(1.0 - m)
-    c = np.sqrt(m)
-    a_list = [a]
-    c_list = [c]
-    for _ in range(_MAX_AGM_ITER):
-        if np.max(np.abs(c)) <= 4.0 * _EPS:
-            break
-        a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
-        a_list.append(a)
-        c_list.append(c)
-    return a_list, c_list
-
-
-def jacobi_sn_cn_dn(u, m) -> EllipticTriple:
-    """Jacobi sn, cn, dn by the descending-Landen amplitude recursion.
-
-    Requires 0 <= m <= 1.  The limits m=0 (circular) and m=1 (hyperbolic)
-    are returned in closed form; in between, the argument is reduced
-    modulo the full period 4K before the recursion to keep the amplitude
-    doubling well conditioned.
-    """
-    u_arr, m_arr = np.broadcast_arrays(_as_float_array(u), _as_float_array(m))
-    if np.any(m_arr < 0.0) or np.any(m_arr > 1.0):
-        raise ValueError("jacobi_sn_cn_dn requires 0 <= m <= 1")
-    u_arr = np.array(u_arr, dtype=float)
-    m_arr = np.array(m_arr, dtype=float)
-    sn = np.empty_like(u_arr)
-    cn = np.empty_like(u_arr)
-    dn = np.empty_like(u_arr)
-
-    circ = m_arr == 0.0
-    hyp = m_arr == 1.0
-    gen = ~(circ | hyp)
-
-    if np.any(circ):
-        uc = u_arr[circ]
-        sn[circ] = np.sin(uc)
-        cn[circ] = np.cos(uc)
-        dn[circ] = 1.0
-    if np.any(hyp):
-        uh = u_arr[hyp]
-        sn[hyp] = np.tanh(uh)
-        sech = 1.0 / np.cosh(uh)
-        cn[hyp] = sech
-        dn[hyp] = sech
-    if np.any(gen):
-        ug, mg = u_arr[gen], m_arr[gen]
-        K = elliptic_K(mg)
-        period = 4.0 * np.asarray(K)
-        ug = ug - period * np.round(ug / period)
-        a_list, c_list = _agm_table(mg)
-        n_levels = len(a_list) - 1
-        phi = (2.0**n_levels) * a_list[-1] * ug
-        phi_next = phi
-        for n in range(n_levels, 0, -1):
-            ratio = np.clip(c_list[n] / a_list[n] * np.sin(phi), -1.0, 1.0)
-            phi_prev = 0.5 * (phi + np.arcsin(ratio))
-            phi_next = phi
-            phi = phi_prev
-        sn_g = np.sin(phi)
-        cn_g = np.cos(phi)
-        # dn from the defining identity inherits sn's accuracy except in
-        # the m -> 1, |sn| -> 1 corner where the sqrt is ill conditioned;
-        # there the backward-recursion form cos(phi_0)/cos(phi_1 - phi_0)
-        # stays accurate (dn >= 0 for real u and m in [0, 1]).
-        arg = 1.0 - mg * sn_g**2
-        denom = np.cos(phi_next - phi)
-        corner = (arg < 1e-4) & (np.abs(denom) > 1e-12)
-        dn_g = np.sqrt(np.clip(arg, 0.0, None))
-        if np.any(corner):
-            dn_g = np.where(corner, cn_g / np.where(corner, denom, 1.0), dn_g)
-        sn[gen] = sn_g
-        cn[gen] = cn_g
-        dn[gen] = dn_g
-
-    if np.ndim(u) == 0 and np.ndim(m) == 0:
-        return EllipticTriple(float(sn), float(cn), float(dn))
-    return EllipticTriple(sn, cn, dn)
-
-
-def incomplete_F(phi, m):
-    """Incomplete elliptic integral of the first kind F(phi | m).
-
-    Ascending-Landen amplitude transformation (the AGM inverse of the
-    sn/cn/dn recursion).  Amplitude restricted to |phi| <= pi/2, which is
-    all the pendulum inversion needs; 0 <= m < 1.
-    """
-    phi_arr, m_arr = np.broadcast_arrays(_as_float_array(phi), _as_float_array(m))
-    if np.any(m_arr < 0.0) or np.any(m_arr >= 1.0):
-        raise ValueError("incomplete_F requires 0 <= m < 1")
-    if np.any(np.abs(phi_arr) > 0.5 * np.pi + 1e-12):
-        raise ValueError("incomplete_F amplitude must lie in [-pi/2, pi/2]")
-    sign = np.sign(phi_arr)
-    sign = np.where(sign == 0.0, 1.0, sign)
-    ph = np.minimum(np.abs(np.array(phi_arr, dtype=float)), 0.5 * np.pi)
-    m_arr = np.array(m_arr, dtype=float)
-
-    out = np.empty_like(ph)
-    at_quarter = ph >= 0.5 * np.pi * (1.0 - 1e-14)
-    if np.any(at_quarter):
-        out[at_quarter] = np.asarray(elliptic_K(m_arr))[at_quarter] if m_arr.ndim else elliptic_K(m_arr)
-    body = ~at_quarter
-    if np.any(body):
-        pb = ph[body]
-        mb = m_arr[body] if m_arr.ndim else np.full_like(pb, float(m_arr))
-        a = np.ones_like(pb)
-        b = np.sqrt(1.0 - mb)
-        c = np.sqrt(mb)
-        t = np.tan(pb)
-        whole_pi = np.zeros_like(pb)  # accumulated half-revolutions
-        acc = np.array(pb)
-        scale = 1.0
-        for _ in range(_MAX_AGM_ITER):
-            if np.max(np.abs(c)) <= 4.0 * _EPS * np.max(a):
-                break
-            ratio = b / a
-            acc = acc + np.arctan(t * ratio) + whole_pi * np.pi
-            denom = 1.0 - ratio * t * t
-            safe = np.abs(denom) > 1e-12
-            t = np.where(safe, t * (1.0 + ratio) / np.where(safe, denom, 1.0), np.tan(acc))
-            whole_pi = np.where(safe, np.trunc((acc + 0.5 * np.pi) / np.pi), np.floor((acc - np.arctan(t)) / np.pi + 0.5))
-            a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
-            scale *= 2.0
-        out[body] = (np.arctan(t) + whole_pi * np.pi) / (scale * a)
-    result = sign * out
-    if np.ndim(phi) == 0 and np.ndim(m) == 0:
-        return float(result)
-    return result
-
-
 def _wrap_angle(phi):
     """Wrap into [-pi, pi)."""
     return np.mod(phi + np.pi, 2.0 * np.pi) - np.pi
-
-
-def _pendulum_rhs(t, y, k_arr):
-    n = y.size // 2
-    phi = y[:n]
-    rho = y[n:]
-    return np.concatenate([rho, k_arr * np.sin(phi)])
 
 
 def pendulum_step_reference(phi, rho, k_rate, dtau):
@@ -311,14 +129,14 @@ def _pendulum_step_arrays(phi, rho, k_rate, dtau):
         w = omega[lib]
         root_m = np.sqrt(m)
         s_sn = np.clip(np.sin(half[lib]) / root_m, -1.0, 1.0)
-        u0 = np.asarray(incomplete_F(np.arcsin(s_sn), m))
-        K = np.asarray(elliptic_K(m))
+        u0 = ellipkinc(np.arcsin(s_sn), m)
+        K = ellipk(m)
         neg = rh[lib] < 0.0
         u0 = np.where(neg, 2.0 * K - u0, u0)
         u1 = u0 + w * dta[lib]
         period = 4.0 * K
         u1 = u1 - period * np.floor(u1 / period)
-        sn1, cn1, _ = jacobi_sn_cn_dn(u1, m)
+        sn1, cn1, _, _ = ellipj(u1, m)
         theta1 = 2.0 * np.arcsin(np.clip(root_m * sn1, -1.0, 1.0))
         res_phi[lib] = _wrap_angle(theta1 + np.pi)
         res_rho[lib] = 2.0 * root_m * w * cn1
@@ -328,36 +146,32 @@ def _pendulum_step_arrays(phi, rho, k_rate, dtau):
         w = omega[rot]
         rate = w / np.sqrt(m)  # = sqrt((E + k)/2)
         s = np.where(rh[rot] < 0.0, -1.0, 1.0)
-        u0 = np.asarray(incomplete_F(half[rot], m))
+        u0 = ellipkinc(half[rot], m)
         u1 = u0 + s * rate * dta[rot]
-        K = np.asarray(elliptic_K(m))
+        K = ellipk(m)
         period = 4.0 * K
         u1 = u1 - period * np.floor(u1 / period)
-        sn1, cn1, dn1 = jacobi_sn_cn_dn(u1, m)
+        sn1, cn1, dn1, _ = ellipj(u1, m)
         res_phi[rot] = _wrap_angle(2.0 * np.arctan2(sn1, cn1) + np.pi)
         res_rho[rot] = s * 2.0 * w / np.sqrt(m) * dn1
 
-    if np.any(near_sep):
-        sp, sr = _pendulum_reference_batch(
-            ph[near_sep], rh[near_sep], ka[near_sep], dta[near_sep]
-        )
-        res_phi[near_sep] = sp
-        res_rho[near_sep] = sr
+    # one solve per row: a shared adaptive step would make a row's result
+    # depend on which rows share its chunk
+    for i in np.flatnonzero(near_sep):
+        res_phi[i], res_rho[i] = pendulum_step_reference(ph[i], rh[i], ka[i], dta[i])
 
     out_phi[act] = res_phi
     out_rho[act] = res_rho
     return out_phi, out_rho
 
 
-def pendulum_step(phi, rho, k_rate, dtau, kbar_unused=None):
+def pendulum_step(phi, rho, k_rate, dtau):
     """Exact evolution of H = rho^2/2 + k_rate cos(phi) for duration dtau.
 
     Selects the libration or rotation branch from the conserved pendulum
     energy and evaluates the Jacobi-elliptic solution; phi is returned
     wrapped to [-pi, pi).  Within SEPARATRIX_TOL of the separatrix energy
-    the stepped reference integrator is used instead.  The trailing
-    argument is accepted for engine-interface parity and ignored
-    (classical motion does not involve kbar).
+    the stepped reference integrator is used instead, one row at a time.
     """
     if np.any(_as_float_array(dtau) < 0):
         raise ValueError("dtau must be >= 0")

@@ -83,6 +83,11 @@ class RunConfig:
 
     def validate(self):
         problems = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                problems.append(f"{f.name}: must be finite, got {value}")
         if self.mode not in (MODE_PHASE_SWEEP, MODE_RATIO_SWEEP, MODE_SINGLE):
             problems.append(f"mode: unknown value {self.mode!r}")
         if self.engine not in (ENGINE_CLASSICAL, ENGINE_QUANTUM, ENGINE_BOTH):
@@ -317,10 +322,6 @@ def run_phase_sweep(config: RunConfig) -> SweepResult:
     return SweepResult(
         mode=config.mode, sweep_parameter="psi0_deg", rows=rows, config=config
     )
-
-
-def run_single(config: RunConfig) -> SweepResult:
-    return run_phase_sweep(config)
 
 
 def run_ratio_sweep(config: RunConfig) -> SweepResult:

@@ -1,27 +1,13 @@
 """Independent oracles used by the test suite.
 
-Everything here deliberately avoids the code paths under test: elliptic
-integrals come from adaptive quadrature of the defining integral, pulse
-areas from scipy's adaptive quadrature of the envelope function, and the
-quantum step from dense matrix exponentiation in the ladder basis.
+Everything here deliberately avoids the code paths under test: pulse
+areas come from scipy's adaptive quadrature of the envelope function,
+and the quantum step from dense matrix exponentiation in the ladder basis.
 """
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
-
-
-def elliptic_K_quadrature(m: float) -> float:
-    """K(m) by adaptive quadrature of 1/sqrt(1 - m sin^2 t) over [0, pi/2]."""
-    val, _ = quad(
-        lambda t: 1.0 / np.sqrt(1.0 - m * np.sin(t) ** 2),
-        0.0,
-        np.pi / 2,
-        epsabs=1e-14,
-        epsrel=1e-14,
-        limit=200,
-    )
-    return val
 
 
 def envelope_area_quadrature(envelope, lo: float, hi: float) -> float:

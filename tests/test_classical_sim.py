@@ -212,6 +212,11 @@ class TestEnsemble:
         a = run_classical_ensemble(tl, params, 700, n_workers=1, chunk_size=256)
         b = run_classical_ensemble(tl, params, 700, n_workers=4, chunk_size=256)
         assert np.array_equal(a.values, b.values)
+        # a row's result does not depend on which rows share its chunk
+        ref = run_classical_ensemble(tl, params, 2048, n_workers=2)
+        for chunk_size in (1, 7, 256, 2048):
+            c = run_classical_ensemble(tl, params, 2048, n_workers=2, chunk_size=chunk_size)
+            assert np.array_equal(c.values, ref.values), f"chunk_size={chunk_size}"
 
     def test_time_reversal_recovers_start(self):
         # volume preservation: forward pulses, then the reversed pulse

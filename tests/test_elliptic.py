@@ -1,102 +1,14 @@
 import numpy as np
 import pytest
+import scipy
 
 from aokr.elliptic import (
-    elliptic_K,
-    incomplete_F,
-    jacobi_sn_cn_dn,
+    SEPARATRIX_TOL,
+    _pendulum_reference_batch,
+    _wrap_angle,
     pendulum_step,
     pendulum_step_reference,
-    _pendulum_reference_batch,
 )
-from oracles import elliptic_K_quadrature
-
-
-class TestEllipticK:
-    def test_circular_limit(self):
-        assert elliptic_K(0.0) == pytest.approx(np.pi / 2, abs=1e-15)
-
-    def test_against_quadrature(self):
-        assert elliptic_K(0.5) == pytest.approx(elliptic_K_quadrature(0.5), abs=1e-12)
-        for m in [0.1, 0.9, 0.999]:
-            assert elliptic_K(m) == pytest.approx(elliptic_K_quadrature(m), rel=1e-13)
-
-    def test_log_divergence_near_one(self):
-        val = elliptic_K(1.0 - 1e-12)
-        assert val > 14.0 and np.isfinite(val)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            elliptic_K(1.0)
-        with pytest.raises(ValueError):
-            elliptic_K(-0.1)
-
-
-class TestJacobi:
-    def test_circular_limit(self):
-        u = np.linspace(-5, 5, 41)
-        sn, cn, dn = jacobi_sn_cn_dn(u, 0.0)
-        assert np.allclose(sn, np.sin(u), atol=1e-14)
-        assert np.allclose(cn, np.cos(u), atol=1e-14)
-        assert np.allclose(dn, 1.0, atol=1e-14)
-
-    def test_hyperbolic_limit(self):
-        u = np.linspace(-5, 5, 41)
-        sn, cn, dn = jacobi_sn_cn_dn(u, 1.0)
-        assert np.allclose(sn, np.tanh(u), atol=1e-14)
-        assert np.allclose(cn, 1 / np.cosh(u), atol=1e-14)
-        assert np.allclose(dn, 1 / np.cosh(u), atol=1e-14)
-
-    def test_quarter_period(self):
-        t = jacobi_sn_cn_dn(elliptic_K(0.7), 0.7)
-        assert t.sn == pytest.approx(1.0, abs=1e-12)
-        assert t.cn == pytest.approx(0.0, abs=1e-12)
-
-    def test_identities_random(self):
-        rng = np.random.default_rng(123)
-        u = rng.uniform(-30, 30, 20000)
-        m = rng.uniform(0, 1, 20000)
-        sn, cn, dn = jacobi_sn_cn_dn(u, m)
-        assert np.max(np.abs(sn**2 + cn**2 - 1)) < 1e-12
-        assert np.max(np.abs(dn**2 + m * sn**2 - 1)) < 1e-12
-
-    def test_periodicity_4K(self):
-        rng = np.random.default_rng(7)
-        m = rng.uniform(0, 0.999, 200)
-        u = rng.uniform(-5, 5, 200)
-        K = elliptic_K(m)
-        sn1, _, _ = jacobi_sn_cn_dn(u, m)
-        sn2, _, _ = jacobi_sn_cn_dn(u + 4 * K, m)
-        assert np.max(np.abs(sn1 - sn2)) < 1e-10
-
-    def test_against_scipy(self):
-        from scipy.special import ellipj
-
-        rng = np.random.default_rng(42)
-        u = rng.uniform(-20, 20, 5000)
-        m = rng.uniform(0, 1, 5000)
-        sn, cn, dn = jacobi_sn_cn_dn(u, m)
-        s_sn, s_cn, s_dn, _ = ellipj(u, m)
-        assert np.max(np.abs(sn - s_sn)) < 1e-12
-        assert np.max(np.abs(cn - s_cn)) < 1e-12
-        assert np.max(np.abs(dn - s_dn)) < 1e-12
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            jacobi_sn_cn_dn(1.0, 1.5)
-
-
-class TestIncompleteF:
-    def test_against_scipy(self):
-        from scipy.special import ellipkinc
-
-        rng = np.random.default_rng(3)
-        phi = rng.uniform(-np.pi / 2, np.pi / 2, 5000)
-        m = rng.uniform(0, 1 - 1e-9, 5000)
-        assert np.max(np.abs(incomplete_F(phi, m) - ellipkinc(phi, m))) < 1e-12
-
-    def test_quarter_amplitude_is_K(self):
-        assert incomplete_F(np.pi / 2, 0.6) == pytest.approx(elliptic_K(0.6), rel=1e-14)
 
 
 class TestPendulumStep:
@@ -153,6 +65,40 @@ class TestPendulumStep:
         k = 10.0
         phi, rho = pendulum_step(-np.pi, 2 * np.sqrt(k), k, 0.01)
         assert np.isfinite(phi) and np.isfinite(rho)
+
+    def test_near_separatrix_matches_per_row_oracle(self):
+        # |m - 1| log-uniform over both branches and both signs of rho,
+        # with the start spread over the orbit.  Cephes ellipj switches
+        # to an approximation for m >= 1 - 1e-10 that is wrong near
+        # u ~ K; the DOP853 band must cover that window.
+        rng = np.random.default_rng(4242)
+        n = 1000
+        gap = 10.0 ** rng.uniform(-13.0, -6.0, n)
+        m = np.where(rng.random(n) < 0.5, 1.0 + gap, 1.0 - gap)
+        k = rng.uniform(1.0, 700.0, n)
+        dt = rng.uniform(1e-4, 2e-3, n)
+        s2 = np.minimum(m, 1.0) * rng.random(n)  # sin^2(theta/2)
+        half = rng.choice([-1.0, 1.0], n) * np.arcsin(np.sqrt(s2))
+        phi = _wrap_angle(2.0 * half + np.pi)
+        rho = rng.choice([-1.0, 1.0], n) * 2.0 * np.sqrt(k * (m - s2))
+
+        p1, r1 = pendulum_step(phi, rho, k, dt)
+        p2 = np.empty(n)
+        r2 = np.empty(n)
+        for i in range(n):
+            row = slice(i, i + 1)
+            (p2[i],), (r2[i],) = _pendulum_reference_batch(phi[row], rho[row], k[row], dt[row])
+        dphi = np.max(np.abs(np.angle(np.exp(1j * (p1 - p2)))))
+        drho = np.max(np.abs(r1 - r2))
+        assert dphi < 1e-9 and drho < 1e-9, (
+            f"near-separatrix error phi {dphi:.2e}, rho {drho:.2e} with "
+            f"SEPARATRIX_TOL={SEPARATRIX_TOL:g}, scipy {scipy.__version__}: "
+            "Cephes ellipj switches to its m -> 1 approximation at "
+            "m >= 1 - 1e-10; if this scipy moved that switch, widen the band"
+        )
+        # a row's result does not depend on which rows share the call
+        p3, r3 = pendulum_step(phi[::2], rho[::2], k[::2], dt[::2])
+        assert np.array_equal(p3, p1[::2]) and np.array_equal(r3, r1[::2])
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -15,6 +17,8 @@ from aokr.runner import (
     run_ratio_sweep,
     SweepResult,
 )
+
+TUPLE_FIELDS = ["sublevel_factors", "sublevel_weights", "r_prime_values"]
 
 
 def fast_config(**kw):
@@ -41,6 +45,16 @@ class TestConfig:
         with pytest.raises(ValueError) as info:
             cfg.validate()
         assert "eta" in str(info.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(RunConfig) if f.type is float] + TUPLE_FIELDS
+    )
+    def test_non_finite_rejected_naming_field(self, field, bad):
+        value = (1.0, bad) if field in TUPLE_FIELDS else bad
+        with pytest.raises(ValueError) as info:
+            fast_config(**{field: value}).validate()
+        assert f"{field}: must be finite" in str(info.value)
 
     def test_ratio_sweep_requires_values(self):
         cfg = fast_config(mode="ratio_sweep", r_prime_values=())
