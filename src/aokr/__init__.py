@@ -20,9 +20,8 @@ from .classical_sim import (
     ClassicalState,
     EnsembleParams,
     MomentumSamples,
+    draw_momentum_and_kick_factor,
     evolve_pulse,
-    free_evolve,
-    maybe_spontaneous_emission,
     run_classical_ensemble,
     sample_initial_classical,
 )
@@ -74,16 +73,15 @@ __all__ = [
     "build_train_spec",
     "classify_lineshape",
     "dominant_phase_frequency",
+    "draw_momentum_and_kick_factor",
     "emit_outputs",
     "energy",
     "energy_stderr",
     "evolve_pulse",
-    "free_evolve",
     "free_propagate",
     "init_wavefunction",
     "kbar_for_period",
     "kick_step",
-    "maybe_spontaneous_emission",
     "mcwf_check_jump",
     "normalize_height",
     "pendulum_step",

@@ -4,7 +4,12 @@ Each trajectory starts from a thermal (phi, rho) draw, carries a fixed
 kick-strength factor sampled from the beam/cloud geometry and magnetic
 sublevel, and alternates free streaming with exact pendulum steps over
 the piecewise-constant envelope grid.  Spontaneous emission adds a
-uniform recoil in [-kbar/2, kbar/2) with probability eta per pulse.
+uniform recoil in [-kbar/2, kbar/2) with probability eta per constituent
+pulse, so a resultant pulse where two trains overlap makes two checks,
+as the area-scaled quantum decay does.
+
+_evolve_pulse_rows is the one pulse kernel: the chunked ensemble calls
+it on every row of a chunk, evolve_pulse on a single row.
 """
 
 import math
@@ -13,13 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import thermal_sigma_recoils
-from .elliptic import _pendulum_step_arrays, _wrap_angle, pendulum_step
+from .elliptic import _pendulum_step_arrays, _wrap_angle
 from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
 from .streams import ENGINE_CLASSICAL, trajectory_stream
-
-SE_PER_RESULTANT = "per_resultant"
-SE_PER_CONSTITUENT = "per_constituent"
 
 DEFAULT_CHUNK_SIZE = 1024
 
@@ -51,28 +53,29 @@ class EnsembleParams:
     eta_per_pulse: float = 0.0
     sublevel_factors: tuple = ((1.0, 1.0),)
     rng_seed: int = 0
-    se_mode: str = SE_PER_RESULTANT
 
     def __post_init__(self):
+        """Check every field; messages start with the field's name."""
         if self.kbar <= 0:
-            raise ValueError(f"kbar must be positive, got {self.kbar}")
+            raise ValueError(f"kbar: must be positive, got {self.kbar}")
         if self.temperature_uk < 0:
-            raise ValueError("temperature_uk must be >= 0")
-        if self.cloud_sigma_mm < 0 or self.beam_sigma_mm < 0:
-            raise ValueError("cloud/beam sigmas must be >= 0")
-        if self.cloud_sigma_mm > 0 and self.beam_sigma_mm <= 0:
-            raise ValueError("beam_sigma_mm must be positive when cloud_sigma_mm > 0")
+            raise ValueError(f"temperature_uk: must be >= 0, got {self.temperature_uk}")
+        if self.cloud_sigma_mm < 0:
+            raise ValueError(f"cloud_sigma_mm: must be >= 0, got {self.cloud_sigma_mm}")
+        if self.beam_sigma_mm < 0 or (self.cloud_sigma_mm > 0 and self.beam_sigma_mm == 0):
+            raise ValueError(
+                f"beam_sigma_mm: must be >= 0, and positive when cloud_sigma_mm > 0, "
+                f"got {self.beam_sigma_mm}"
+            )
         if not (0.0 <= self.eta_per_pulse < 1.0):
-            raise ValueError(f"eta_per_pulse must lie in [0, 1), got {self.eta_per_pulse}")
-        if self.se_mode not in (SE_PER_RESULTANT, SE_PER_CONSTITUENT):
-            raise ValueError(f"unknown se_mode {self.se_mode!r}")
+            raise ValueError(f"eta_per_pulse: must lie in [0, 1), got {self.eta_per_pulse}")
         if not self.sublevel_factors:
-            raise ValueError("sublevel_factors must be non-empty")
+            raise ValueError("sublevel_factors: must be non-empty")
         for factor, weight in self.sublevel_factors:
             if not (0.0 < factor <= 1.0):
-                raise ValueError(f"sublevel factor {factor} outside (0, 1]")
+                raise ValueError(f"sublevel_factors: must lie in (0, 1], got {factor}")
             if weight <= 0:
-                raise ValueError("sublevel weights must be positive")
+                raise ValueError(f"sublevel_weights: must be positive, got {weight}")
 
     @property
     def sigma_n(self) -> float:
@@ -102,136 +105,100 @@ class MomentumSamples:
                 fh.write(f"{v:.17g}\n")
 
 
-def _draw_sublevel(params: EnsembleParams, rng) -> float:
-    factors = params.sublevel_factors
-    if len(factors) == 1:
-        return factors[0][0]
-    weights = np.array([w for _, w in factors], dtype=float)
-    weights /= weights.sum()
-    u = rng.random()
-    return factors[int(np.searchsorted(np.cumsum(weights), u))][0]
+def draw_momentum_and_kick_factor(params: EnsembleParams, rng):
+    """Thermal start momentum and kick-strength factor, shared by both engines.
 
-
-def sample_initial_classical(params: EnsembleParams, rng) -> ClassicalState:
-    """Thermal initial state with a beam/cloud/sublevel kick factor.
-
-    phi ~ Uniform[-pi, pi); rho = kbar * n with n Gaussian of width
-    sigma_n; the kick factor is the standing-wave intensity (Gaussian of
-    width beam_sigma) at a cloud position drawn Gaussian with
-    cloud_sigma, times the sublevel multiplier.
+    rho = kbar * n with n Gaussian of width sigma_n; the kick factor is
+    the standing-wave intensity (Gaussian of width beam_sigma) at a cloud
+    position drawn Gaussian with cloud_sigma, times the sublevel
+    multiplier.  Returns (rho, kick_factor).
     """
-    phi = rng.uniform(-math.pi, math.pi)
     n = params.sigma_n * rng.standard_normal()
     x = params.cloud_sigma_mm * rng.standard_normal()
-    sub = _draw_sublevel(params, rng)
+    factors = params.sublevel_factors
+    sub = factors[0][0]
+    if len(factors) > 1:
+        weights = np.array([w for _, w in factors], dtype=float)
+        sub = factors[int(np.searchsorted(np.cumsum(weights / weights.sum()), rng.random()))][0]
     if params.cloud_sigma_mm > 0:
         intensity = math.exp(-(x**2) / (2.0 * params.beam_sigma_mm**2))
     else:
         intensity = 1.0
-    return ClassicalState(phi=phi, rho=params.kbar * n, kick_factor=intensity * sub)
+    return params.kbar * n, intensity * sub
 
 
-def free_evolve(state: ClassicalState, dtau: float) -> ClassicalState:
-    """Free streaming: phi advances by dtau * rho (wrapped), rho unchanged."""
-    if dtau < 0:
-        raise ValueError("dtau must be >= 0")
-    phi = state.phi + dtau * state.rho
-    if not (-math.pi <= phi < math.pi):
-        phi = float(_wrap_angle(phi))
-    return ClassicalState(phi=phi, rho=state.rho, kick_factor=state.kick_factor)
+def sample_initial_classical(params: EnsembleParams, rng) -> ClassicalState:
+    """Thermal initial state: phi ~ Uniform[-pi, pi), then rho and the kick
+    factor from draw_momentum_and_kick_factor."""
+    phi = rng.uniform(-math.pi, math.pi)
+    rho, kick_factor = draw_momentum_and_kick_factor(params, rng)
+    return ClassicalState(phi=phi, rho=rho, kick_factor=kick_factor)
 
 
-def maybe_spontaneous_emission(state: ClassicalState, eta: float, rng, kbar: float) -> ClassicalState:
-    """With probability eta add a recoil uniform in [-kbar/2, kbar/2).
+def _draw_emissions(rng, n_checks: int, kbar: float):
+    """(trigger, recoil) pairs for n_checks emission checks, in stream order.
 
-    Both the trigger and the recoil are always drawn so that a
-    trajectory's stream position does not depend on the outcome.
+    Both are always drawn so that a trajectory's stream position does not
+    depend on whether an emission fires.
     """
-    if not (0.0 <= eta < 1.0):
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    trigger = rng.random()
-    u = rng.uniform(-0.5 * kbar, 0.5 * kbar)
-    if trigger < eta:
-        return ClassicalState(state.phi, state.rho + u, state.kick_factor)
-    return state
+    draws = [(rng.random(), rng.uniform(-0.5 * kbar, 0.5 * kbar)) for _ in range(n_checks)]
+    return np.array(draws, dtype=float).reshape(n_checks, 2).T
 
 
-def _se_check_steps(pulse, se_mode: str):
-    """Step indices after which an emission check happens (may repeat)."""
-    if se_mode == SE_PER_RESULTANT:
-        return [pulse.n_steps // 2 - 1 if pulse.n_steps > 1 else 0]
-    steps = []
-    for _, center in pulse.constituents:
-        idx = int((center - pulse.start) / pulse.step)
-        steps.append(min(max(idx, 0), pulse.n_steps - 1))
-    return steps
+def _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils):
+    """Evolve rows of (phi, rho) through one resultant pulse.
+
+    Each grid step applies the exact pendulum flow with rate
+    kf * k(tau_mid).  After step max(n_steps // 2 - 1, 0) the pulse makes
+    one emission check per constituent pulse: column c of the boolean
+    fire adds column c of recoils to rho.
+    """
+    check_step = max(pulse.n_steps // 2 - 1, 0)
+    for j in range(pulse.n_steps):
+        phi, rho = _pendulum_step_arrays(phi, rho, kf * pulse.k_mid[j], pulse.step)
+        if j == check_step:
+            for c in range(fire.shape[1]):
+                rho = np.where(fire[:, c], rho + recoils[:, c], rho)
+    return phi, rho
 
 
 def evolve_pulse(state: ClassicalState, pulse, rng, params: EnsembleParams) -> ClassicalState:
-    """Propagate one trajectory through one resultant pulse.
-
-    Piecewise-constant evolution: each grid step applies the exact
-    pendulum flow with rate kick_factor * k(tau_mid), with spontaneous
-    emission checks scheduled by params.se_mode.
-    """
-    phi, rho = state.phi, state.rho
-    checks = _se_check_steps(pulse, params.se_mode)
-    h = pulse.step
-    for j in range(pulse.n_steps):
-        phi, rho = pendulum_step(phi, rho, state.kick_factor * pulse.k_mid[j], h)
-        for _ in range(checks.count(j)):
-            kicked = maybe_spontaneous_emission(
-                ClassicalState(phi, rho, state.kick_factor), params.eta_per_pulse, rng, params.kbar
-            )
-            phi, rho = kicked.phi, kicked.rho
-    return ClassicalState(phi, rho, state.kick_factor)
-
-
-def _total_checks(timeline: ResolvedTimeline, se_mode: str) -> int:
-    if se_mode == SE_PER_RESULTANT:
-        return timeline.n_res
-    return sum(p.n_constituents for p in timeline.pulses)
+    """Propagate one trajectory through one resultant pulse (a one-row
+    _evolve_pulse_rows); its emission draws come from rng."""
+    triggers, recoils = _draw_emissions(rng, pulse.n_constituents, params.kbar)
+    phi, rho, kf = np.array([[state.phi], [state.rho], [state.kick_factor]])
+    fire = triggers[None, :] < params.eta_per_pulse
+    phi, rho = _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils[None, :])
+    return ClassicalState(float(phi[0]), float(rho[0]), state.kick_factor)
 
 
 def _classical_chunk(job):
     """Evolve one chunk of trajectories; returns (lo, final momenta in recoils)."""
     timeline, params, sweep_index, lo, hi = job
     n = hi - lo
-    kbar = params.kbar
-    streams = [
-        trajectory_stream(params.rng_seed, sweep_index, ENGINE_CLASSICAL, i)
-        for i in range(lo, hi)
-    ]
+    n_checks = sum(p.n_constituents for p in timeline.pulses)
     phi = np.empty(n)
     rho = np.empty(n)
     kf = np.empty(n)
-    n_checks = _total_checks(timeline, params.se_mode)
-    triggers = np.empty((n, n_checks)) if n_checks else np.empty((n, 0))
-    recoils = np.empty_like(triggers)
-    for i, s in enumerate(streams):
+    triggers = np.empty((n, n_checks))
+    recoils = np.empty((n, n_checks))
+    for i in range(n):
+        s = trajectory_stream(params.rng_seed, sweep_index, ENGINE_CLASSICAL, lo + i)
         st = sample_initial_classical(params, s)
         phi[i], rho[i], kf[i] = st.phi, st.rho, st.kick_factor
-        for c in range(n_checks):
-            triggers[i, c] = s.random()
-            recoils[i, c] = s.uniform(-0.5 * kbar, 0.5 * kbar)
+        triggers[i], recoils[i] = _draw_emissions(s, n_checks, params.kbar)
 
-    eta = params.eta_per_pulse
-    check_cursor = 0
+    fire = triggers < params.eta_per_pulse
+    cursor = 0
     prev_end = None
     for pulse in timeline.pulses:
         if prev_end is not None:
-            gap = pulse.start - prev_end
-            phi = _wrap_angle(phi + gap * rho)
-        checks = _se_check_steps(pulse, params.se_mode)
-        h = pulse.step
-        for j in range(pulse.n_steps):
-            phi, rho = _pendulum_step_arrays(phi, rho, kf * pulse.k_mid[j], h)
-            for _ in range(checks.count(j)):
-                fire = triggers[:, check_cursor] < eta
-                rho = np.where(fire, rho + recoils[:, check_cursor], rho)
-                check_cursor += 1
+            phi = _wrap_angle(phi + (pulse.start - prev_end) * rho)
+        checks = slice(cursor, cursor + pulse.n_constituents)
+        phi, rho = _evolve_pulse_rows(phi, rho, kf, pulse, fire[:, checks], recoils[:, checks])
+        cursor = checks.stop
         prev_end = pulse.end
-    return lo, rho / kbar
+    return lo, rho / params.kbar
 
 
 def run_classical_ensemble(

@@ -8,8 +8,16 @@ exp(-k dtau (eta_rate/2)(1 + cos phi)) that shrinks the norm.  When the
 squared norm falls below a pre-drawn uniform threshold the trajectory
 takes a jump: a uniform recoil in [-kbar/2, kbar/2) is added to the
 quasimomentum (re-folded into the first zone with a compensating ladder
-shift), the state is renormalised and a new threshold is drawn.
+shift), the state is renormalised and a new threshold is drawn.  Norms
+are checked at the end of each resultant pulse.  The decay scales with
+pulse area, so a pulse where two trains overlap emits about twice as
+often, as the classical engine's one check per constituent pulse does.
 Observables are equal-weight averages over trajectories.
+
+The split step (_pulse_rows), the free phases (_free_phases) and the
+jump (_jump) each have one implementation: the chunked ensemble applies
+them to every row of a chunk, and kick_step, free_propagate and
+mcwf_check_jump to a single row.
 """
 
 from dataclasses import dataclass
@@ -18,35 +26,107 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import MomentumDistribution, momentum_bin_grid
-from .classical_sim import EnsembleParams, _draw_sublevel
+from .classical_sim import EnsembleParams, draw_momentum_and_kick_factor
 from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
 from .streams import ENGINE_QUANTUM, trajectory_stream
-
-JUMP_AT_PULSE_END = "pulse_end"
-JUMP_WITHIN_PULSE = "within_pulse"
 
 DEFAULT_N_MAX = 1024
 DEFAULT_CHUNK_SIZE = 128
 BOUNDARY_OCCUPATION_LIMIT = 1e-8
 
 
-class GridOverflowError(RuntimeError):
+class GridOverflowError(ValueError):
     """Momentum population reached the edge of the ladder grid."""
-
-
-def ladder_indices(size: int) -> np.ndarray:
-    """Ladder quantum numbers in FFT storage order: 0..n_max-1, -n_max..-1."""
-    n = np.arange(size)
-    n[n >= size // 2] -= size
-    return n
 
 
 @lru_cache(maxsize=8)
 def _grids(size: int):
-    n = ladder_indices(size)
+    """Ladder numbers in FFT order (0..n_max-1, -n_max..-1) and cos(phi)
+    on the position grid."""
+    n = np.arange(size)
+    n[n >= size // 2] -= size
     cos_phi = np.cos(2.0 * np.pi * np.arange(size) / size)
     return n, cos_phi
+
+
+def _ladder_start(rho0: float, kbar: float, n_max: int):
+    """Ladder state nearest to rho0 as (FFT index, remainder q).
+
+    n_max must be a power of two (grid size 2*n_max is FFT-friendly).
+    """
+    if n_max < 64 or (n_max & (n_max - 1)) != 0:
+        raise ValueError(f"n_max must be a power of two >= 64, got {n_max}")
+    n0 = int(np.floor(rho0 / kbar + 0.5))
+    if not (-n_max <= n0 < n_max):
+        raise GridOverflowError(
+            f"initial momentum {rho0} rounds to ladder state {n0}, "
+            f"outside the grid [-{n_max}, {n_max})"
+        )
+    return n0 % (2 * n_max), rho0 - n0 * kbar
+
+
+def _free_phases(q, kbar: float, size: int, dtau: float) -> np.ndarray:
+    """Per-row free phases exp(-i (n kbar + q)^2 dtau / (2 kbar))."""
+    n = _grids(size)[0]
+    return np.exp(-0.5j * (n * kbar + q[:, None]) ** 2 * dtau / kbar)
+
+
+def _pulse_rows(psi, q, kf, decay_scale, k_mid, h: float, kbar: float):
+    """Strang split steps of step h through the envelope k_mid, on every
+    row of psi in place.
+
+    Per step: half free phase; multiply on the position grid by
+    exp(-i k h kf cos(phi)/kbar) * exp(-k h decay_scale (1 + cos phi));
+    transform back; half free phase.  The half phases of adjacent steps
+    are fused.  Norms are non-increasing and conserved to rounding where
+    decay_scale = 0.
+    """
+    _, cos_phi = _grids(psi.shape[1])
+    half = _free_phases(q, kbar, psi.shape[1], 0.5 * h)
+    full = half * half
+    psi *= half
+    for j, k_j in enumerate(k_mid):
+        w = (-1j * h * k_j / kbar) * kf - h * k_j * decay_scale
+        mult = np.exp(np.outer(w, cos_phi) - (h * k_j * decay_scale)[:, None])
+        x = np.fft.ifft(psi, axis=1)
+        x *= mult
+        np.fft.fft(x, axis=1, out=psi)
+        psi *= full if j < len(k_mid) - 1 else half
+
+
+def _norms_sq(psi) -> np.ndarray:
+    """Squared norm of each row (last axis)."""
+    return np.einsum("...j,...j->...", psi.real, psi.real) + np.einsum(
+        "...j,...j->...", psi.imag, psi.imag
+    )
+
+
+def _energies(psi, q, kbar: float):
+    """Per-row <(n + q/kbar)^2>/2 in recoil units, with the normalised
+    populations and the momenta (in recoils) it averages over."""
+    weights = np.abs(psi) ** 2 / _norms_sq(psi)[:, None]
+    momenta = _grids(psi.shape[1])[0] + q[:, None] / kbar
+    return 0.5 * np.sum(weights * momenta**2, axis=1), weights, momenta
+
+
+def _jump(c, q: float, u: float, kbar: float):
+    """Add the recoil u to the quasimomentum q of one row.
+
+    q + u is folded into [-kbar/2, kbar/2) and the ladder is shifted by
+    the compensating integer with zero fill, so <rho> moves by exactly u;
+    the row is renormalised.  Returns (amplitudes, q).
+    """
+    q_raw = q + u
+    q_new = float(np.mod(q_raw + 0.5 * kbar, kbar) - 0.5 * kbar)
+    if q_new >= 0.5 * kbar:  # np.mod rounds a tiny negative argument up to kbar
+        q_new = -0.5 * kbar
+    shift = int(round((q_raw - q_new) / kbar))
+    out = np.roll(c, shift)
+    edge = c.size // 2  # n = -n_max in FFT order: where the roll wraps
+    out[min(edge, edge + shift) : max(edge, edge + shift)] = 0.0
+    out /= np.sqrt(_norms_sq(out))
+    return out, q_new
 
 
 @dataclass
@@ -61,33 +141,21 @@ class Wavefunction:
     q: float
     kbar: float
 
-    @property
-    def n_max(self) -> int:
-        return self.c.size // 2
-
-    @property
-    def ladder_n(self) -> np.ndarray:
-        return _grids(self.c.size)[0]
+    def _row(self):
+        """The state as one kernel row: amplitudes (1, size) and q (1,)."""
+        return self.c[None, :], np.array([self.q])
 
     def norm_sq(self) -> float:
-        return float(np.vdot(self.c, self.c).real)
+        return float(_norms_sq(self.c))
 
     def momentum_expectation(self) -> float:
         """<rho + q> in scaled momentum units."""
-        w = np.abs(self.c) ** 2
-        return float(np.sum(w * (self.ladder_n * self.kbar + self.q)) / np.sum(w))
+        _, weights, momenta = _energies(*self._row(), self.kbar)
+        return float(np.sum(weights * momenta) * self.kbar)
 
     def energy_recoils(self) -> float:
         """<(rho + q)^2>/2 in two-photon-recoil units."""
-        w = np.abs(self.c) ** 2
-        mom = self.ladder_n + self.q / self.kbar
-        return float(np.sum(w * mom**2) / (2.0 * np.sum(w)))
-
-    def boundary_occupation(self) -> float:
-        """Relative population of the outermost ladder sites."""
-        w = np.abs(self.c) ** 2
-        edge = max(w[self.n_max], w[self.n_max - 1])
-        return float(edge / np.sum(w))
+        return float(_energies(*self._row(), self.kbar)[0][0])
 
 
 @dataclass(frozen=True)
@@ -102,94 +170,51 @@ class JumpRecord:
 def init_wavefunction(n_max: int, initial_momentum: float, kbar: float) -> Wavefunction:
     """Single ladder state nearest to initial_momentum; the remainder is q.
 
-    n_max must be a power of two (grid size 2*n_max is FFT-friendly).
+    n_max must be a power of two >= 64; a momentum off the grid raises
+    GridOverflowError, a ValueError.
     """
-    if n_max < 64 or (n_max & (n_max - 1)) != 0:
-        raise ValueError(f"n_max must be a power of two >= 64, got {n_max}")
     if kbar <= 0:
         raise ValueError("kbar must be positive")
-    n0 = int(np.floor(initial_momentum / kbar + 0.5))
-    if not (-n_max <= n0 < n_max):
-        raise ValueError(
-            f"initial momentum {initial_momentum} rounds to ladder state {n0}, "
-            f"outside the grid [-{n_max}, {n_max})"
-        )
-    size = 2 * n_max
-    c = np.zeros(size, dtype=np.complex128)
-    c[n0 if n0 >= 0 else size + n0] = 1.0
-    return Wavefunction(c=c, q=initial_momentum - n0 * kbar, kbar=kbar)
-
-
-def _free_phase(psi: Wavefunction, dtau: float) -> np.ndarray:
-    n = psi.ladder_n
-    return np.exp(-0.5j * (n * psi.kbar + psi.q) ** 2 * dtau / psi.kbar)
+    index, q = _ladder_start(initial_momentum, kbar, n_max)
+    c = np.zeros(2 * n_max, dtype=np.complex128)
+    c[index] = 1.0
+    return Wavefunction(c=c, q=q, kbar=kbar)
 
 
 def free_propagate(psi: Wavefunction, dtau: float) -> Wavefunction:
     """Diagonal free evolution: phases exp(-i (n kbar + q)^2 dtau / (2 kbar))."""
     if dtau < 0:
         raise ValueError("dtau must be >= 0")
-    return Wavefunction(c=psi.c * _free_phase(psi, dtau), q=psi.q, kbar=psi.kbar)
+    c, q = psi._row()
+    phases = _free_phases(q, psi.kbar, c.shape[1], dtau)
+    return Wavefunction(c=(c * phases)[0], q=psi.q, kbar=psi.kbar)
 
 
 def kick_step(psi: Wavefunction, k_rate: float, eta_rate: float, dtau: float) -> Wavefunction:
-    """One Strang split step of the pulsed (possibly decaying) Hamiltonian.
-
-    Half free phase; multiply on the position grid by
-    exp(-i k dtau cos(phi)/kbar) * exp(-k dtau (eta_rate/2)(1 + cos phi));
-    transform back; half free phase.  Norm is non-increasing and is
-    conserved to rounding for eta_rate = 0.
-    """
+    """One Strang split step of the pulsed (possibly decaying) Hamiltonian:
+    a one-row, one-step _pulse_rows with kick factor 1."""
     if dtau <= 0:
         raise ValueError("dtau must be positive")
-    half = _free_phase(psi, 0.5 * dtau)
-    _, cos_phi = _grids(psi.c.size)
-    w = -(1j * k_rate / psi.kbar + 0.5 * k_rate * eta_rate) * dtau
-    b = -0.5 * k_rate * eta_rate * dtau
-    mult = np.exp(w * cos_phi + b)
-    x = np.fft.ifft(psi.c * half)
-    c = np.fft.fft(x * mult) * half
-    return Wavefunction(c=c, q=psi.q, kbar=psi.kbar)
-
-
-def _fold_quasimomentum(q_raw: float, kbar: float):
-    """Fold into [-kbar/2, kbar/2); returns (q_folded, ladder shift)."""
-    q_new = np.mod(q_raw + 0.5 * kbar, kbar) - 0.5 * kbar
-    shift = int(round((q_raw - q_new) / kbar))
-    return float(q_new), shift
-
-
-def _shift_ladder(c: np.ndarray, shift: int) -> np.ndarray:
-    """Shift every component n -> n + shift with zero fill (FFT order in/out)."""
-    if shift == 0:
-        return c.copy()
-    nat = np.fft.fftshift(c)
-    out = np.zeros_like(nat)
-    if shift > 0:
-        out[shift:] = nat[:-shift]
-    else:
-        out[:shift] = nat[-shift:]
-    return np.fft.ifftshift(out)
+    c, q = psi._row()
+    c = c.copy()
+    _pulse_rows(c, q, np.ones(1), np.array([0.5 * eta_rate]), (k_rate,), dtau, psi.kbar)
+    return Wavefunction(c=c[0], q=psi.q, kbar=psi.kbar)
 
 
 def mcwf_check_jump(psi: Wavefunction, threshold: float, rng, pulse_index: int = -1):
-    """Take a quantum jump if the squared norm has fallen below threshold.
+    """Take a quantum jump (see _jump) if the squared norm has fallen below
+    threshold, with a recoil u uniform in [-kbar/2, kbar/2) drawn from rng.
 
-    The jump adds a uniform recoil u in [-kbar/2, kbar/2) to the
-    quasimomentum, folds q back into the first zone while shifting the
-    ladder by the compensating integer (so <rho> moves by exactly u),
-    and renormalises.  Returns (psi', JumpRecord or None); the caller
-    draws a fresh threshold after a jump.
+    Returns (psi', JumpRecord or None); the caller draws a fresh
+    threshold after a jump.
     """
     n2 = psi.norm_sq()
     if n2 >= threshold:
         return psi, None
     u = rng.uniform(-0.5 * psi.kbar, 0.5 * psi.kbar)
-    q_new, shift = _fold_quasimomentum(psi.q + u, psi.kbar)
-    c = _shift_ladder(psi.c, shift)
-    c /= np.sqrt(np.vdot(c, c).real)
+    c, q = _jump(psi.c, psi.q, u, psi.kbar)
     return (
-        Wavefunction(c=c, q=q_new, kbar=psi.kbar),
+        Wavefunction(c=c, q=q, kbar=psi.kbar),
         JumpRecord(pulse_index=pulse_index, pre_jump_norm_sq=n2, recoil=float(u)),
     )
 
@@ -229,84 +254,39 @@ def _quantum_chunk(job):
 
     Returns (lo, per-trajectory energies, histogram mass sum, jump counts).
     """
-    (timeline, params, sweep_index, lo, hi, n_max, bin_width, jump_timing) = job
+    timeline, params, sweep_index, lo, hi, n_max, bin_width = job
     n_rows = hi - lo
     kbar = params.kbar
-    size = 2 * n_max
-    n_vals, cos_phi = _grids(size)
-
     streams = [
         trajectory_stream(params.rng_seed, sweep_index, ENGINE_QUANTUM, i) for i in range(lo, hi)
     ]
-    sigma_rho = kbar * params.sigma_n
     q = np.empty(n_rows)
     kf = np.empty(n_rows)
     thresholds = np.empty(n_rows)
-    psi = np.zeros((n_rows, size), dtype=np.complex128)
+    psi = np.zeros((n_rows, 2 * n_max), dtype=np.complex128)
     for i, s in enumerate(streams):
-        rho0 = sigma_rho * s.standard_normal()
-        x = params.cloud_sigma_mm * s.standard_normal()
-        sub = _draw_sublevel(params, s)
+        rho0, kf[i] = draw_momentum_and_kick_factor(params, s)
         thresholds[i] = s.random()
-        n0 = int(np.floor(rho0 / kbar + 0.5))
-        if not (-n_max <= n0 < n_max):
-            raise GridOverflowError(
-                f"trajectory {lo + i}: initial momentum {rho0} outside ladder grid"
-            )
-        psi[i, n0 if n0 >= 0 else size + n0] = 1.0
-        q[i] = rho0 - n0 * kbar
-        if params.cloud_sigma_mm > 0:
-            kf[i] = np.exp(-(x**2) / (2.0 * params.beam_sigma_mm**2)) * sub
-        else:
-            kf[i] = sub
+        index, q[i] = _ladder_start(rho0, kbar, n_max)
+        psi[i, index] = 1.0
 
     eta_rate = np.array([_decay_rate(params, timeline, f) for f in kf])
     decay_scale = 0.5 * kf * eta_rate  # row constant in the exponent
     jump_counts = np.zeros(n_rows, dtype=int)
 
-    def check_jumps(pulse_index):
-        norms2 = np.einsum("ij,ij->i", psi.real, psi.real) + np.einsum(
-            "ij,ij->i", psi.imag, psi.imag
-        )
-        for i in np.nonzero(norms2 < thresholds)[0]:
-            s = streams[i]
-            u = s.uniform(-0.5 * kbar, 0.5 * kbar)
-            q_new, shift = _fold_quasimomentum(q[i] + u, kbar)
-            row = _shift_ladder(psi[i], shift)
-            row /= np.sqrt(np.vdot(row, row).real)
-            psi[i] = row
-            q[i] = q_new
-            thresholds[i] = s.random()
-            jump_counts[i] += 1
-        return norms2
-
     prev_end = None
     for p_idx, pulse in enumerate(timeline.pulses):
         if prev_end is not None:
-            gap = pulse.start - prev_end
-            phases = np.exp(-0.5j * (n_vals[None, :] * kbar + q[:, None]) ** 2 * gap / kbar)
-            psi *= phases
-        h = pulse.step
-        half = np.exp(-0.25j * (n_vals[None, :] * kbar + q[:, None]) ** 2 * h / kbar)
-        full = half * half
-        psi *= half
-        for j in range(pulse.n_steps):
-            k_j = pulse.k_mid[j]
-            w = (-1j * h * k_j / kbar) * kf - h * k_j * decay_scale
-            mult = np.exp(np.outer(w, cos_phi) - (h * k_j * decay_scale)[:, None])
-            x = np.fft.ifft(psi, axis=1)
-            x *= mult
-            psi = np.fft.fft(x, axis=1)
-            psi *= full if j < pulse.n_steps - 1 else half
-            if jump_timing == JUMP_WITHIN_PULSE:
-                check_jumps(p_idx)
-        if jump_timing == JUMP_AT_PULSE_END:
-            check_jumps(p_idx)
-        occ = np.abs(psi[:, n_max - 1 : n_max + 1]) ** 2
-        norms2 = np.einsum("ij,ij->i", psi.real, psi.real) + np.einsum(
-            "ij,ij->i", psi.imag, psi.imag
-        )
-        rel = occ.max(axis=1) / norms2
+            psi *= _free_phases(q, kbar, psi.shape[1], pulse.start - prev_end)
+        _pulse_rows(psi, q, kf, decay_scale, pulse.k_mid, pulse.step, kbar)
+        norms2 = _norms_sq(psi)
+        for i in np.flatnonzero(norms2 < thresholds):
+            s = streams[i]
+            psi[i], q[i] = _jump(psi[i], q[i], s.uniform(-0.5 * kbar, 0.5 * kbar), kbar)
+            norms2[i] = 1.0
+            thresholds[i] = s.random()
+            jump_counts[i] += 1
+        rel = np.abs(psi[:, n_max - 1 : n_max + 1]).max(axis=1) ** 2 / norms2
         if np.any(rel >= BOUNDARY_OCCUPATION_LIMIT):
             bad = int(np.argmax(rel >= BOUNDARY_OCCUPATION_LIMIT))
             raise GridOverflowError(
@@ -315,13 +295,7 @@ def _quantum_chunk(job):
             )
         prev_end = pulse.end
 
-    norms2 = np.einsum("ij,ij->i", psi.real, psi.real) + np.einsum(
-        "ij,ij->i", psi.imag, psi.imag
-    )
-    weights = (np.abs(psi) ** 2) / norms2[:, None]
-    momenta = n_vals[None, :] + q[:, None] / kbar
-    energies = 0.5 * np.sum(weights * momenta**2, axis=1)
-
+    energies, weights, momenta = _energies(psi, q, kbar)
     centers, edges = momentum_bin_grid(bin_width, n_max + 1.0)
     hist_sum = np.zeros(len(centers))
     for i in range(n_rows):
@@ -340,7 +314,6 @@ def run_mcwf_trajectories(
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     bin_width: float = 0.5,
-    jump_timing: str = JUMP_AT_PULSE_END,
 ) -> QuantumEnsembleResult:
     """Run a quantum trajectory ensemble and average it incoherently.
 
@@ -349,12 +322,8 @@ def run_mcwf_trajectories(
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if jump_timing not in (JUMP_AT_PULSE_END, JUMP_WITHIN_PULSE):
-        raise ValueError(f"unknown jump_timing {jump_timing!r}")
-    if n_max < 64 or (n_max & (n_max - 1)) != 0:
-        raise ValueError(f"n_max must be a power of two >= 64, got {n_max}")
     jobs = [
-        (timeline, params, sweep_index, lo, hi, n_max, bin_width, jump_timing)
+        (timeline, params, sweep_index, lo, hi, n_max, bin_width)
         for lo, hi in chunk_bounds(n_traj, chunk_size)
     ]
     results = chunked_map(_quantum_chunk, jobs, n_workers)

@@ -14,15 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .classical_sim import (
-    SE_PER_CONSTITUENT,
-    SE_PER_RESULTANT,
-    EnsembleParams,
-    run_classical_ensemble,
-)
+from .classical_sim import EnsembleParams, run_classical_ensemble
 from .constants import kbar_for_period
 from .pulse_train import PulseShapeParams, build_train_spec, resolve_timeline
-from .quantum_sim import JUMP_AT_PULSE_END, JUMP_WITHIN_PULSE, run_mcwf_trajectories
+from .quantum_sim import run_mcwf_trajectories
 
 MODE_PHASE_SWEEP = "phase_sweep"
 MODE_RATIO_SWEEP = "ratio_sweep"
@@ -59,8 +54,6 @@ class RunConfig:
     cloud_sigma_mm: float = 0.5
     sublevel_factors: tuple = (1.0,)
     sublevel_weights: tuple = (1.0,)
-    se_mode: str = SE_PER_RESULTANT
-    jump_timing: str = JUMP_AT_PULSE_END
 
     # sweep axes
     psi0_deg: float = 180.0  # mode=single
@@ -126,8 +119,23 @@ class RunConfig:
                 problems.append("psi0_prime_deg: must lie in [0, 360]")
         if self.n_traj_classical < 1 or self.n_traj_quantum < 1:
             problems.append("n_traj_classical/n_traj_quantum: must be >= 1")
+        if self.n_max < 64 or (self.n_max & (self.n_max - 1)) != 0:
+            problems.append(f"n_max: must be a power of two >= 64, got {self.n_max}")
+        if self.min_steps_per_pulse < 1:
+            problems.append(f"min_steps_per_pulse: must be >= 1, got {self.min_steps_per_pulse}")
+        if self.bin_width <= 0:
+            problems.append(f"bin_width: must be positive, got {self.bin_width}")
+        if self.epsilon_zero_velocity <= 0:
+            problems.append(
+                f"epsilon_zero_velocity: must be positive, got {self.epsilon_zero_velocity}"
+            )
         if len(self.sublevel_factors) != len(self.sublevel_weights):
             problems.append("sublevel_factors/sublevel_weights: lengths differ")
+        if not problems:
+            try:  # temperature, cloud and beam sigmas, sublevel factors and weights
+                self.ensemble_params()
+            except ValueError as exc:
+                problems.append(str(exc))
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
         return self
@@ -154,7 +162,6 @@ class RunConfig:
             eta_per_pulse=self.eta,
             sublevel_factors=tuple(zip(self.sublevel_factors, self.sublevel_weights)),
             rng_seed=self.seed,
-            se_mode=self.se_mode,
         )
 
     def engines(self):
@@ -282,7 +289,6 @@ def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float
                 sweep_index=sweep_index,
                 n_workers=config.n_workers,
                 bin_width=config.bin_width,
-                jump_timing=config.jump_timing,
             )
             dist = result.distribution
             e = float(np.mean(result.energies))

@@ -8,14 +8,18 @@ from aokr.classical_sim import (
     EnsembleParams,
     MomentumSamples,
     evolve_pulse,
-    free_evolve,
-    maybe_spontaneous_emission,
     run_classical_ensemble,
     sample_initial_classical,
 )
 from aokr.constants import kbar_for_period, thermal_sigma_recoils
-from aokr.elliptic import pendulum_step
-from aokr.pulse_train import PulseShapeParams, ResultantPulse, resolve_timeline, single_train_spec
+from aokr.elliptic import _wrap_angle, pendulum_step
+from aokr.pulse_train import (
+    PulseShapeParams,
+    ResultantPulse,
+    build_train_spec,
+    resolve_timeline,
+    single_train_spec,
+)
 from aokr.streams import ENGINE_CLASSICAL, trajectory_stream
 
 KBAR = 3.12
@@ -87,61 +91,16 @@ class TestInitialSampling:
             params_with(cloud_sigma_mm=0.5, beam_sigma_mm=0.0)
         with pytest.raises(ValueError):
             params_with(sublevel_factors=((1.5, 1.0),))
-        with pytest.raises(ValueError):
-            params_with(se_mode="sometimes")
 
 
-class TestFreeEvolve:
-    def test_direct_substitution(self):
-        out = free_evolve(ClassicalState(0.0, 2.0), 0.5)
-        assert out.phi == pytest.approx(1.0)
-        assert out.rho == 2.0
-
-    def test_zero_duration_is_identity(self):
-        s = ClassicalState(0.3, -1.7, 0.9)
-        out = free_evolve(s, 0.0)
-        assert (out.phi, out.rho, out.kick_factor) == (0.3, -1.7, 0.9)
-
-    def test_wrapping(self):
-        out = free_evolve(ClassicalState(3.0, 1.0), 1.0)
-        assert out.phi == pytest.approx(4.0 - 2 * np.pi)
-
-
-class TestSpontaneousEmission:
-    def test_eta_zero_is_identity(self):
-        rng = np.random.default_rng(0)
-        s = ClassicalState(0.1, 5.0)
-        for _ in range(50):
-            assert maybe_spontaneous_emission(s, 0.0, rng, KBAR) is s
-
-    def test_recoil_bounded_by_half_kbar(self):
-        rng = np.random.default_rng(1)
-        s = ClassicalState(0.0, 0.0)
-        for _ in range(2000):
-            out = maybe_spontaneous_emission(s, 0.999, rng, KBAR)
-            assert abs(out.rho) < KBAR / 2
-
-    def test_recoil_mean_is_zero(self):
-        rng = np.random.default_rng(2)
-        n = 10**6
-        u = rng.uniform(-KBAR / 2, KBAR / 2, n)
-        sigma = KBAR / math.sqrt(12.0)
-        assert abs(np.mean(u)) < 3 * sigma / math.sqrt(n)
-
-    def test_eta_validation(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            maybe_spontaneous_emission(ClassicalState(0, 0), 1.0, rng, KBAR)
-
-
-def zero_height_pulse(n_steps=16):
+def zero_height_pulse(n_steps=16, n_constituents=1):
     return ResultantPulse(
         start=0.0,
         end=0.016,
         n_steps=n_steps,
         k_mid=np.zeros(n_steps),
         area=0.0,
-        constituents=((1, 0.008),),
+        constituents=tuple((train, 0.008) for train in range(1, n_constituents + 1)),
     )
 
 
@@ -153,6 +112,20 @@ class TestEvolvePulse:
         out = evolve_pulse(s, zero_height_pulse(), rng, params)
         assert out.phi == pytest.approx(0.2 + 3.0 * 0.016, abs=1e-12)
         assert out.rho == 3.0
+
+    @pytest.mark.parametrize("n_constituents", [1, 2])
+    def test_one_emission_check_per_constituent(self, n_constituents):
+        # each constituent pulse adds a recoil uniform in [-kbar/2, kbar/2)
+        # with probability eta, so an overlapped pulse spreads rho twice
+        # as much as a single one
+        params = params_with(eta_per_pulse=0.999)
+        rng = np.random.default_rng(3)
+        pulse = zero_height_pulse(n_steps=2, n_constituents=n_constituents)
+        d_rho = np.array(
+            [evolve_pulse(ClassicalState(0.0, 0.0), pulse, rng, params).rho for _ in range(4000)]
+        )
+        assert np.all(np.abs(d_rho) < n_constituents * KBAR / 2)
+        assert np.var(d_rho) == pytest.approx(n_constituents * KBAR**2 / 12, rel=0.05)
 
     def test_impulse_limit(self):
         # narrow weak square pulse: delta rho ~ kick_factor * kappa * sin(phi)
@@ -204,6 +177,27 @@ class TestEnsemble:
         ]
         assert np.array_equal(s1.values, np.array(inits))
 
+    def test_matches_per_trajectory_route_on_overlapped_timeline(self):
+        # r = 1, psi0 = 0: every resultant pulse has two constituents.
+        # Each trajectory's own stream through sample_initial_classical,
+        # the free gaps and evolve_pulse reproduces the ensemble bit for bit.
+        shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
+        tl = resolve_timeline(build_train_spec(1.0, 0.0, 6, 10.1, 10.1, shape, KBAR))
+        assert all(p.n_constituents == 2 for p in tl.pulses)
+        params = params_with(eta_per_pulse=0.3, rng_seed=1)
+        samples = run_classical_ensemble(tl, params, 8, chunk_size=3)
+        for i in range(8):
+            stream = trajectory_stream(1, 0, ENGINE_CLASSICAL, i)
+            state = sample_initial_classical(params, stream)
+            prev_end = None
+            for pulse in tl.pulses:
+                if prev_end is not None:
+                    phi = float(_wrap_angle(state.phi + (pulse.start - prev_end) * state.rho))
+                    state = ClassicalState(phi, state.rho, state.kick_factor)
+                state = evolve_pulse(state, pulse, stream, params)
+                prev_end = pulse.end
+            assert samples.values[i] == state.rho / KBAR
+
     def test_worker_count_invariance(self):
         shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
         spec = single_train_spec(6, 10.1, shape, KBAR)
@@ -251,8 +245,6 @@ class TestEnsemble:
     def test_kam_double_pulse_suppression_small(self):
         # near-coincident pulse pairs throttle diffusion relative to the
         # evenly spaced train
-        from aokr.pulse_train import build_train_spec
-
         shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
         params = params_with(rng_seed=7)
         tl_kam = resolve_timeline(
@@ -272,13 +264,3 @@ class TestEnsemble:
         body = path.read_text().splitlines()
         assert body[0].startswith("# units: momentum=two-photon-recoils")
         assert float(body[2]) == 0.25
-
-    def test_se_per_constituent_mode_runs(self):
-        from aokr.pulse_train import build_train_spec
-
-        shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
-        spec = build_train_spec(1.0, 0.0, 6, 10.1, 10.1, shape, KBAR)
-        tl = resolve_timeline(spec)
-        params = params_with(eta_per_pulse=0.1, se_mode="per_constituent", rng_seed=1)
-        samples = run_classical_ensemble(tl, params, 32)
-        assert samples.count == 32

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aokr.analysis import MomentumDistribution, energy
-from aokr.classical_sim import EnsembleParams, run_classical_ensemble
+from aokr.classical_sim import EnsembleParams, draw_momentum_and_kick_factor, run_classical_ensemble
 from aokr.pulse_train import (
     PulseShapeParams,
     build_train_spec,
@@ -12,6 +14,7 @@ from aokr.pulse_train import (
 from aokr.quantum_sim import (
     GridOverflowError,
     Wavefunction,
+    _jump,
     free_propagate,
     init_wavefunction,
     kick_step,
@@ -159,6 +162,25 @@ class TestJump:
         assert out.momentum_expectation() - before == pytest.approx(u, abs=1e-10)
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.floats(-KBAR / 2, KBAR / 2, exclude_max=True),
+        u=st.floats(-KBAR / 2, KBAR / 2, exclude_max=True),
+    )
+    @example(q=0.4 * KBAR, u=0.3 * KBAR)  # ladder shift +1
+    @example(q=-0.4 * KBAR, u=-0.3 * KBAR)  # ladder shift -1
+    @example(q=-KBAR / 2, u=-np.spacing(KBAR / 2))  # np.mod rounds up to kbar
+    def test_jump_moves_mean_momentum_by_recoil(self, q, u):
+        kicked = kick_step(init_wavefunction(256, 0.0, KBAR), 100.0, 0.0, 0.01)
+        before = Wavefunction(c=0.6 * kicked.c, q=q, kbar=KBAR)
+        c, q_new = _jump(before.c, q, u, KBAR)
+        after = Wavefunction(c=c, q=q_new, kbar=KBAR)
+        assert -KBAR / 2 <= q_new < KBAR / 2
+        assert after.momentum_expectation() - before.momentum_expectation() == pytest.approx(
+            u, abs=1e-10
+        )
+        assert after.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
     def test_no_jumps_without_decay(self):
         spec = single_train_spec(10, 5.0, PulseShapeParams.square(0.016), KBAR)
         tl = resolve_timeline(spec)
@@ -197,11 +219,11 @@ class TestSplitStepOracle:
 
 class TestBatchKernel:
     def test_matches_scalar_path_on_two_frequency_timeline(self):
-        # The batch kernel behind run_mcwf_trajectories against the scalar
-        # kick_step/free_propagate route, which criterion 2 checks against
-        # the dense propagator: eta = 0, r = sqrt(2), psi0 = 30 deg, with
-        # the measured erf pulse shape.  Each scalar start state is the
-        # trajectory's own first draw, its thermal momentum.
+        # kick_step and free_propagate are one-row calls into the kernels
+        # run_mcwf_trajectories uses, so this checks the rest of the
+        # ensemble path: start states from the shared sampler, the gaps
+        # between pulses and the chunk assembly.  eta = 0, r = sqrt(2),
+        # psi0 = 30 deg, with the measured erf pulse shape.
         shape = PulseShapeParams.from_physical_ns(104.0, 121.0, 396.0, 30.0)
         spec = build_train_spec(np.sqrt(2.0), 30.0 / 360.0, 30, 10.1, 10.1, shape, KBAR)
         tl = resolve_timeline(spec)
@@ -211,7 +233,7 @@ class TestBatchKernel:
         assert np.all(result.jump_counts == 0)
         for i in range(n_traj):
             stream = trajectory_stream(params.rng_seed, 0, ENGINE_QUANTUM, i)
-            rho0 = KBAR * params.sigma_n * stream.standard_normal()
+            rho0, _ = draw_momentum_and_kick_factor(params, stream)
             psi = scalar_run(init_wavefunction(n_max, rho0, KBAR), tl)
             assert abs(result.energies[i] - psi.energy_recoils()) < 1e-10
 
@@ -236,6 +258,16 @@ class TestEnsemble:
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.distribution.masses, b.distribution.masses)
         assert np.array_equal(a.jump_counts, b.jump_counts)
+        # a row's result does not depend on which rows share its chunk; the
+        # masses sum chunk histograms in chunk order, so they move in the
+        # last bits
+        for chunk_size in (1, 7, 96):
+            c = run_mcwf_trajectories(tl, params, 96, n_max=128, chunk_size=chunk_size)
+            assert np.array_equal(c.energies, a.energies), f"chunk_size={chunk_size}"
+            assert np.array_equal(c.jump_counts, a.jump_counts), f"chunk_size={chunk_size}"
+            np.testing.assert_allclose(
+                c.distribution.masses, a.distribution.masses, rtol=0, atol=1e-15
+            )
 
     def test_run_mcwf_ensemble_returns_distribution(self):
         spec = single_train_spec(3, 5.0, PulseShapeParams.square(0.016), KBAR)
@@ -273,13 +305,3 @@ class TestEnsemble:
         result = run_mcwf_trajectories(tl, cl, 600, n_max=512)
         rho2_quantum = np.mean(result.energies) * 2 * kbar**2
         assert rho2_quantum == pytest.approx(rho2_classical, rel=0.05)
-
-    def test_jump_timing_toggle(self):
-        spec = single_train_spec(6, 10.1, PulseShapeParams.square(0.016), KBAR)
-        tl = resolve_timeline(spec)
-        params = params_with(eta_per_pulse=0.1, rng_seed=4)
-        end = run_mcwf_trajectories(tl, params, 16, n_max=256, jump_timing="pulse_end")
-        within = run_mcwf_trajectories(tl, params, 16, n_max=256, jump_timing="within_pulse")
-        assert end.n_traj == within.n_traj == 16
-        with pytest.raises(ValueError):
-            run_mcwf_trajectories(tl, params, 4, n_max=128, jump_timing="never")

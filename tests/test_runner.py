@@ -56,6 +56,28 @@ class TestConfig:
             fast_config(**{field: value}).validate()
         assert f"{field}: must be finite" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_max", 100),
+            ("n_max", 32),
+            ("bin_width", 0.0),
+            ("epsilon_zero_velocity", 0.0),
+            ("min_steps_per_pulse", 0),
+            ("temperature_uk", -1.0),
+            ("cloud_sigma_mm", -0.5),
+            ("beam_sigma_mm", -0.72),
+            ("beam_sigma_mm", 0.0),
+            ("sublevel_factors", (1.5,)),
+            ("sublevel_factors", (0.0,)),
+            ("sublevel_weights", (0.0,)),
+        ],
+    )
+    def test_out_of_range_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError) as info:
+            fast_config(**{"cloud_sigma_mm": 0.5, field: value}).validate()
+        assert f"{field}: must" in str(info.value)
+
     def test_ratio_sweep_requires_values(self):
         cfg = fast_config(mode="ratio_sweep", r_prime_values=())
         with pytest.raises(ValueError) as info:
@@ -256,3 +278,17 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["single", "--psi0", "400", "--out", str(tmp_path)])
+
+    def test_bad_n_max_rejected_before_any_engine_runs(self, tmp_path, monkeypatch, capsys):
+        from aokr import runner
+        from aokr.cli import main
+
+        def engine_called(*args, **kwargs):
+            raise AssertionError("an engine ran before the config was validated")
+
+        monkeypatch.setattr(runner, "run_classical_ensemble", engine_called)
+        monkeypatch.setattr(runner, "run_mcwf_trajectories", engine_called)
+        with pytest.raises(SystemExit) as info:
+            main(["single", "--n-max", "100", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "n_max" in capsys.readouterr().err
