@@ -136,7 +136,7 @@ def sample_initial_classical(params: EnsembleParams, rng) -> ClassicalState:
 
 
 def _draw_emissions(rng, n_checks: int, kbar: float):
-    """(trigger, recoil) pairs for n_checks emission checks, in stream order.
+    """Triggers and recoils of n_checks emission checks, drawn in pairs.
 
     Both are always drawn so that a trajectory's stream position does not
     depend on whether an emission fires.
@@ -177,9 +177,7 @@ def _classical_chunk(job):
     timeline, params, sweep_index, lo, hi = job
     n = hi - lo
     n_checks = sum(p.n_constituents for p in timeline.pulses)
-    phi = np.empty(n)
-    rho = np.empty(n)
-    kf = np.empty(n)
+    phi, rho, kf = np.empty((3, n))
     triggers = np.empty((n, n_checks))
     recoils = np.empty((n, n_checks))
     for i in range(n):

@@ -232,7 +232,7 @@ class QuantumEnsembleResult:
         return len(self.energies)
 
 
-def _decay_rate(params: EnsembleParams, timeline: ResolvedTimeline, kick_factor: float) -> float:
+def _decay_rate(params: EnsembleParams, timeline: ResolvedTimeline, kick_factor):
     """eta_rate making the per-pulse emission probability equal eta.
 
     Normalised against the reference single-pulse area (kappa of train 1,
@@ -260,9 +260,7 @@ def _quantum_chunk(job):
     streams = [
         trajectory_stream(params.rng_seed, sweep_index, ENGINE_QUANTUM, i) for i in range(lo, hi)
     ]
-    q = np.empty(n_rows)
-    kf = np.empty(n_rows)
-    thresholds = np.empty(n_rows)
+    q, kf, thresholds = np.empty((3, n_rows))
     psi = np.zeros((n_rows, 2 * n_max), dtype=np.complex128)
     for i, s in enumerate(streams):
         rho0, kf[i] = draw_momentum_and_kick_factor(params, s)
@@ -270,8 +268,7 @@ def _quantum_chunk(job):
         index, q[i] = _ladder_start(rho0, kbar, n_max)
         psi[i, index] = 1.0
 
-    eta_rate = np.array([_decay_rate(params, timeline, f) for f in kf])
-    decay_scale = 0.5 * kf * eta_rate  # row constant in the exponent
+    decay_scale = 0.5 * kf * _decay_rate(params, timeline, kf)  # row constant in the exponent
     jump_counts = np.zeros(n_rows, dtype=int)
 
     prev_end = None
