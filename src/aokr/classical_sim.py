@@ -136,13 +136,16 @@ def sample_initial_classical(params: EnsembleParams, rng) -> ClassicalState:
 
 
 def _draw_emissions(rng, n_checks: int, kbar: float):
-    """Triggers and recoils of n_checks emission checks, drawn in pairs.
+    """Triggers and recoils of n_checks emission checks.
 
-    Both are always drawn so that a trajectory's stream position does not
-    depend on whether an emission fires.
+    Each check draws its pair in turn: a trigger uniform in [0, 1), then a
+    recoil uniform in [-kbar/2, kbar/2), the values rng.random() and
+    rng.uniform(-kbar/2, kbar/2) would give.  Both are always drawn so
+    that a trajectory's stream position does not depend on whether an
+    emission fires.
     """
-    draws = [(rng.random(), rng.uniform(-0.5 * kbar, 0.5 * kbar)) for _ in range(n_checks)]
-    return np.array(draws, dtype=float).reshape(n_checks, 2).T
+    u = rng.random(2 * n_checks)
+    return u[0::2], -0.5 * kbar + kbar * u[1::2]
 
 
 def _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils):
