@@ -162,7 +162,7 @@ class TestJump:
         assert out.momentum_expectation() - before == pytest.approx(u, abs=1e-10)
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         q=st.floats(-KBAR / 2, KBAR / 2, exclude_max=True),
         u=st.floats(-KBAR / 2, KBAR / 2, exclude_max=True),
