@@ -128,8 +128,8 @@ def _pendulum_step_arrays(phi, rho, k_rate, dtau):
         m = m_lib[lib]
         w = omega[lib]
         root_m = np.sqrt(m)
-        s_sn = np.clip(np.sin(half[lib]) / root_m, -1.0, 1.0)
-        u0 = ellipkinc(np.arcsin(s_sn), m)
+        # start amplitude from both sin(theta/2) and |rho|/(2 sqrt k): well conditioned as sn -> 1
+        u0 = ellipkinc(np.arctan2(np.sin(half[lib]), np.abs(rh[lib]) / (2.0 * w)), m)
         K = ellipk(m)
         neg = rh[lib] < 0.0
         u0 = np.where(neg, 2.0 * K - u0, u0)

@@ -72,15 +72,28 @@ class TestPendulumStep:
         # to an approximation for m >= 1 - 1e-10 that is wrong near
         # u ~ K; the DOP853 band must cover that window.
         rng = np.random.default_rng(4242)
+
+        def starts(m, s2, k):
+            # s2 = sin^2(theta/2) with theta the angle from the stable point
+            half = rng.choice([-1.0, 1.0], m.size) * np.arcsin(np.sqrt(s2))
+            rho = rng.choice([-1.0, 1.0], m.size) * 2.0 * np.sqrt(k * (m - s2))
+            return _wrap_angle(2.0 * half + np.pi), rho
+
         n = 1000
         gap = 10.0 ** rng.uniform(-13.0, -6.0, n)
         m = np.where(rng.random(n) < 0.5, 1.0 + gap, 1.0 - gap)
         k = rng.uniform(1.0, 700.0, n)
         dt = rng.uniform(1e-4, 2e-3, n)
-        s2 = np.minimum(m, 1.0) * rng.random(n)  # sin^2(theta/2)
-        half = rng.choice([-1.0, 1.0], n) * np.arcsin(np.sqrt(s2))
-        phi = _wrap_angle(2.0 * half + np.pi)
-        rho = rng.choice([-1.0, 1.0], n) * 2.0 * np.sqrt(k * (m - s2))
+        phi, rho = starts(m, np.minimum(m, 1.0) * rng.random(n), k)
+        # librating rows next to the unstable point, where sn -> 1 and the
+        # start amplitude must be inverted without an ill-conditioned arcsin
+        lib_gap = 10.0 ** rng.uniform(-9.0, -6.0, n)  # 1 - m
+        kinetic = 10.0 ** rng.uniform(-8.0, -1.0, n) * lib_gap  # rho^2/(4k)
+        k_lib = rng.uniform(1.0, 700.0, n)
+        dt = np.concatenate([dt, rng.uniform(1e-4, 2e-3, n)])
+        phi_lib, rho_lib = starts(1.0 - lib_gap, 1.0 - lib_gap - kinetic, k_lib)
+        phi, rho, k = np.hstack([[phi, rho, k], [phi_lib, rho_lib, k_lib]])
+        n = phi.size
 
         p1, r1 = pendulum_step(phi, rho, k, dt)
         p2 = np.empty(n)
