@@ -50,7 +50,7 @@ from .quantum_sim import (
     run_mcwf_ensemble,
     run_mcwf_trajectories,
 )
-from .runner import RunConfig, SweepResult, emit_outputs, run, run_phase_sweep, run_ratio_sweep
+from .runner import RunConfig, SweepResult, emit_outputs, run
 
 __version__ = "0.1.0"
 
@@ -92,8 +92,6 @@ __all__ = [
     "run_classical_ensemble",
     "run_mcwf_ensemble",
     "run_mcwf_trajectories",
-    "run_phase_sweep",
-    "run_ratio_sweep",
     "sample_initial_classical",
     "single_train_spec",
     "thermal_sigma_recoils",

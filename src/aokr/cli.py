@@ -9,40 +9,42 @@ from .runner import (
     MODE_SINGLE,
     RunConfig,
     emit_outputs,
+    parse_config_file,
     run,
 )
 
 _FLAGS = [
-    # (flag, config field, type, help)
-    ("--engine", "engine", str, "classical, quantum, or both"),
-    ("--ratio", "ratio", float, "period ratio r = T2/T1"),
-    ("--n-tot", "n_tot", int, "total number of kicks N + M"),
-    ("--kappa", None, float, "kick strength for both trains"),
-    ("--kappa1", "kappa1", float, "kick strength of train 1"),
-    ("--kappa2", "kappa2", float, "kick strength of train 2"),
-    ("--t1-us", "t1_us", float, "primary pulsing period in microseconds"),
-    ("--kbar", "kbar", float, "effective Planck constant (0 = derive from t1)"),
-    ("--pulse-rise-ns", "pulse_rise_ns", float, "envelope rise time"),
-    ("--pulse-fall-ns", "pulse_fall_ns", float, "envelope fall time"),
-    ("--pulse-fwhm-ns", "pulse_fwhm_ns", float, "envelope FWHM"),
-    ("--eta", "eta", float, "spontaneous emission probability per pulse"),
-    ("--temperature-uk", "temperature_uk", float, "cloud temperature in microkelvin"),
-    ("--beam-sigma-mm", "beam_sigma_mm", float, "kicking beam intensity sigma"),
-    ("--cloud-sigma-mm", "cloud_sigma_mm", float, "cloud sigma (0 = point cloud)"),
-    ("--psi0", "psi0_deg", float, "initial phase offset in degrees (single mode)"),
-    ("--psi0-start", "psi0_start_deg", float, "phase sweep start (degrees)"),
-    ("--psi0-stop", "psi0_stop_deg", float, "phase sweep stop (degrees)"),
-    ("--psi0-step", "psi0_step_deg", float, "phase sweep step (degrees)"),
-    ("--psi0-prime", "psi0_prime_deg", float, "fixed phase for ratio sweeps (degrees)"),
-    ("--n-traj-classical", "n_traj_classical", int, "classical trajectories per point"),
-    ("--n-traj-quantum", "n_traj_quantum", int, "quantum trajectories per point"),
-    ("--n-max", "n_max", int, "momentum ladder half size (power of two)"),
-    ("--min-steps", "min_steps_per_pulse", int, "minimum grid steps per pulse"),
-    ("--bin-width", "bin_width", float, "histogram bin width (recoils)"),
-    ("--epsilon", "epsilon_zero_velocity", float, "zero-velocity window (recoils)"),
-    ("--seed", "seed", int, "base random seed"),
-    ("--workers", "n_workers", int, "worker processes"),
-    ("--out", "output_dir", str, "output directory"),
+    # (flag, config field, help); values reach RunConfig as text
+    ("--engine", "engine", "classical, quantum, or both"),
+    ("--ratio", "ratio", "period ratio r = T2/T1"),
+    ("--n-tot", "n_tot", "total number of kicks N + M"),
+    ("--kappa", None, "kick strength for both trains"),
+    ("--kappa1", "kappa1", "kick strength of train 1"),
+    ("--kappa2", "kappa2", "kick strength of train 2"),
+    ("--t1-us", "t1_us", "primary pulsing period in microseconds"),
+    ("--kbar", "kbar", "effective Planck constant (0 = derive from t1)"),
+    ("--pulse-rise-ns", "pulse_rise_ns", "envelope rise time"),
+    ("--pulse-fall-ns", "pulse_fall_ns", "envelope fall time"),
+    ("--pulse-fwhm-ns", "pulse_fwhm_ns", "envelope FWHM"),
+    ("--eta", "eta", "spontaneous emission probability per pulse"),
+    ("--temperature-uk", "temperature_uk", "cloud temperature in microkelvin"),
+    ("--beam-sigma-mm", "beam_sigma_mm", "kicking beam intensity sigma"),
+    ("--cloud-sigma-mm", "cloud_sigma_mm", "cloud sigma (0 = point cloud)"),
+    ("--psi0", "psi0_deg", "initial phase offset in degrees (single mode)"),
+    ("--psi0-start", "psi0_start_deg", "phase sweep start (degrees)"),
+    ("--psi0-stop", "psi0_stop_deg", "phase sweep stop (degrees)"),
+    ("--psi0-step", "psi0_step_deg", "phase sweep step (degrees)"),
+    ("--psi0-prime", "psi0_prime_deg", "fixed phase for ratio sweeps (degrees)"),
+    ("--r-prime", "r_prime_values", "comma-separated r' values (ratio sweep)"),
+    ("--n-traj-classical", "n_traj_classical", "classical trajectories per point"),
+    ("--n-traj-quantum", "n_traj_quantum", "quantum trajectories per point"),
+    ("--n-max", "n_max", "momentum ladder half size (power of two)"),
+    ("--min-steps", "min_steps_per_pulse", "minimum grid steps per pulse"),
+    ("--bin-width", "bin_width", "histogram bin width (recoils)"),
+    ("--epsilon", "epsilon_zero_velocity", "zero-velocity window (recoils)"),
+    ("--seed", "seed", "base random seed"),
+    ("--workers", "n_workers", "worker processes"),
+    ("--out", "output_dir", "output directory"),
 ]
 
 
@@ -50,35 +52,23 @@ def _add_common(parser):
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--square-pulses", action="store_true",
                         help="ideal square pulses (rise = fall = 0, FWHM = 480 ns)")
-    for flag, _, ftype, help_text in _FLAGS:
-        parser.add_argument(flag, type=ftype, help=help_text)
-    parser.add_argument("--r-prime", type=str,
-                        help="comma-separated r' values (ratio sweep)")
+    for flag, _, help_text in _FLAGS:
+        parser.add_argument(flag, help=help_text)
 
 
 def _build_config(args, mode):
-    mapping = {}
-    if args.config:
-        mapping.update(RunConfig.from_file(args.config).__dict__)
+    """The validated RunConfig of the config file overridden by the given flags."""
+    mapping = parse_config_file(args.config) if args.config else {}
     mapping["mode"] = mode
-    for flag, fieldname, _, _ in _FLAGS:
-        if fieldname is None:
-            continue
+    for flag, fieldname, _ in _FLAGS:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if value is not None:
+        if fieldname is not None and value is not None:
             mapping[fieldname] = value
     if args.kappa is not None:
-        mapping["kappa1"] = args.kappa
-        mapping["kappa2"] = args.kappa
-    if args.r_prime:
-        mapping["r_prime_values"] = tuple(float(v) for v in args.r_prime.split(","))
+        mapping["kappa1"] = mapping["kappa2"] = args.kappa
     if args.square_pulses:
-        mapping["pulse_rise_ns"] = 0.0
-        mapping["pulse_fall_ns"] = 0.0
-        mapping["pulse_fwhm_ns"] = 480.0
-    config = RunConfig(**mapping)
-    config.validate()
-    return config
+        mapping.update(pulse_rise_ns="0", pulse_fall_ns="0", pulse_fwhm_ns="480")
+    return RunConfig.from_mapping(mapping).validate()
 
 
 def main(argv=None):

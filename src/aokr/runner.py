@@ -1,4 +1,10 @@
-"""Sweep orchestration: configs, engines, and deterministic outputs.
+"""Sweep orchestration: one pipeline from text to output files.
+
+text -> RunConfig -> sweep points -> rows -> files.  Config files and CLI
+flags both reach ``RunConfig.from_mapping``, which converts each value by
+its field's type.  ``run`` validates the config, lists its
+(sweep value, ratio, psi0) points, resolves each point's pulse timeline
+and runs the selected engines on it; ``emit_outputs`` writes the rows.
 
 A RunConfig fully determines a run; every sweep point gets its own
 counter-based random substream keyed by (seed, sweep index), so rows are
@@ -16,7 +22,7 @@ import numpy as np
 from . import analysis
 from .classical_sim import EnsembleParams, run_classical_ensemble
 from .constants import kbar_for_period
-from .pulse_train import PulseShapeParams, build_train_spec, resolve_timeline
+from .pulse_train import PulseShapeParams, build_train_spec, resolve_timeline, unit_pulse_area
 from .quantum_sim import run_mcwf_trajectories
 
 MODE_PHASE_SWEEP = "phase_sweep"
@@ -93,6 +99,13 @@ class RunConfig:
             problems.append("kappa1/kappa2: must be >= 0")
         if self.t1_us <= 0:
             problems.append(f"t1_us: must be positive, got {self.t1_us}")
+        if self.kbar < 0:
+            problems.append(f"kbar: must be >= 0 (0 = derive from t1_us), got {self.kbar}")
+        for name in ("pulse_rise_ns", "pulse_fall_ns"):
+            if getattr(self, name) < 0:
+                problems.append(f"{name}: must be >= 0, got {getattr(self, name)}")
+        if not (0 < self.on_threshold < 0.5):
+            problems.append(f"on_threshold: must lie in (0, 0.5), got {self.on_threshold}")
         if self.eta < 0 or self.eta >= 1:
             problems.append(f"eta: must lie in [0, 1), got {self.eta}")
         if self.mode == MODE_PHASE_SWEEP:
@@ -117,8 +130,11 @@ class RunConfig:
                     )
             if not (0 <= self.psi0_prime_deg <= 360):
                 problems.append("psi0_prime_deg: must lie in [0, 360]")
-        if self.n_traj_classical < 1 or self.n_traj_quantum < 1:
-            problems.append("n_traj_classical/n_traj_quantum: must be >= 1")
+        for name in ("n_traj_classical", "n_traj_quantum"):
+            if getattr(self, name) < 2:  # a standard error needs two trajectories
+                problems.append(f"{name}: must be >= 2, got {getattr(self, name)}")
+        if self.n_workers < 1:
+            problems.append(f"n_workers: must be >= 1, got {self.n_workers}")
         if self.n_max < 64 or (self.n_max & (self.n_max - 1)) != 0:
             problems.append(f"n_max: must be a power of two >= 64, got {self.n_max}")
         if self.min_steps_per_pulse < 1:
@@ -136,6 +152,10 @@ class RunConfig:
                 self.ensemble_params()
             except ValueError as exc:
                 problems.append(str(exc))
+            try:  # a FWHM that is not positive, or too short for the edges
+                unit_pulse_area(self.pulse_shape())
+            except ValueError as exc:
+                problems.append(f"pulse_fwhm_ns: must give a pulse above on_threshold ({exc})")
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
         return self
@@ -171,37 +191,25 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, mapping):
+        """A config from text values keyed by field name (config file or CLI flags)."""
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
         kwargs = {}
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        for key, raw in mapping.items():
+        for key, text in mapping.items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(raw, fields[key].type, key)
+            kwargs[key] = _coerce(text, fields[key], key)
         return cls(**kwargs)
 
-    @classmethod
-    def from_file(cls, path):
-        return cls.from_mapping(parse_config_file(path))
 
-
-def _coerce(raw, ftype, key):
-    name = ftype if isinstance(ftype, str) else getattr(ftype, "__name__", str(ftype))
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
-    if not isinstance(raw, str):
-        return raw
-    text = raw.strip()
-    if name == "int":
-        return int(text)
-    if name == "float":
-        return float(text)
-    if name == "tuple":
-        if not text:
-            return ()
-        return tuple(float(v) for v in text.split(","))
-    if name == "str":
-        return text
-    raise ValueError(f"cannot coerce config key {key!r} of type {name}")
+def _coerce(text, ftype, key):
+    """A field's value from its text: ftype(text), or comma-separated floats for tuples."""
+    text = text.strip()
+    try:
+        if ftype is tuple:
+            return tuple(float(v) for v in text.split(",")) if text else ()
+        return ftype(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: cannot read {text!r} as {ftype.__name__} ({exc})") from None
 
 
 def parse_config_file(path):
@@ -230,31 +238,16 @@ class SweepRow:
     zero_velocity_fraction: float
     lineshape_class: str
     distribution: analysis.MomentumDistribution
-    distribution_file: str = ""
 
 
 @dataclass
 class SweepResult:
-    mode: str
-    sweep_parameter: str
     rows: list
     config: RunConfig
 
-    def rows_for(self, engine):
-        return [r for r in self.rows if r.engine == engine]
-
-
-def _timeline_for_alpha(config: RunConfig, alpha0: float, ratio: float):
-    spec = build_train_spec(
-        ratio,
-        alpha0,
-        config.n_tot,
-        config.kappa1,
-        config.kappa2,
-        config.pulse_shape(),
-        config.kbar_effective,
-    )
-    return resolve_timeline(spec, config.min_steps_per_pulse)
+    @property
+    def sweep_parameter(self) -> str:
+        return "r_prime" if self.config.mode == MODE_RATIO_SWEEP else "psi0_deg"
 
 
 def _classify_or_undetermined(dist):
@@ -314,47 +307,33 @@ def phase_sweep_values(config: RunConfig):
     return [config.psi0_start_deg + i * config.psi0_step_deg for i in range(n + 1)]
 
 
-def run_phase_sweep(config: RunConfig) -> SweepResult:
-    """Energy and distribution observables on a grid of initial phases."""
-    config.validate()
-    if config.mode not in (MODE_PHASE_SWEEP, MODE_SINGLE):
-        raise ValueError(f"mode: expected {MODE_PHASE_SWEEP} or {MODE_SINGLE}, got {config.mode}")
-    values = [config.psi0_deg] if config.mode == MODE_SINGLE else phase_sweep_values(config)
-    rows = []
-    for idx, psi0 in enumerate(values):
-        alpha0 = (psi0 / 360.0) % 1.0
-        timeline = _timeline_for_alpha(config, alpha0, config.ratio)
-        rows.extend(_run_point(config, timeline, idx, psi0))
-    return SweepResult(
-        mode=config.mode, sweep_parameter="psi0_deg", rows=rows, config=config
-    )
+def run(config: RunConfig) -> SweepResult:
+    """Validate the config, then run its engines on each sweep point in order.
 
-
-def run_ratio_sweep(config: RunConfig) -> SweepResult:
-    """Zero-velocity fraction against the inverse period ratio r'.
-
-    For each r': ratio = 1/r' and psi0 = psi0_prime * ratio, so the
-    delay is fixed in units of the second train's period.
+    A phase sweep (or single point) varies psi0 at the configured ratio.  A
+    ratio sweep point r' has ratio = 1/r' and psi0 = psi0_prime * ratio, so
+    the delay is fixed in units of the second train's period.
     """
     config.validate()
-    if config.mode != MODE_RATIO_SWEEP:
-        raise ValueError(f"mode: expected {MODE_RATIO_SWEEP}, got {config.mode}")
-    rows = []
-    for idx, r_prime in enumerate(config.r_prime_values):
-        ratio = 1.0 / r_prime
-        psi0 = config.psi0_prime_deg * ratio
-        alpha0 = psi0 / 360.0
-        timeline = _timeline_for_alpha(config, alpha0, ratio)
-        rows.extend(_run_point(config, timeline, idx, r_prime))
-    return SweepResult(
-        mode=config.mode, sweep_parameter="r_prime", rows=rows, config=config
-    )
-
-
-def run(config: RunConfig) -> SweepResult:
     if config.mode == MODE_RATIO_SWEEP:
-        return run_ratio_sweep(config)
-    return run_phase_sweep(config)
+        points = [(rp, 1.0 / rp, config.psi0_prime_deg * (1.0 / rp)) for rp in config.r_prime_values]
+    else:
+        psi0s = [config.psi0_deg] if config.mode == MODE_SINGLE else phase_sweep_values(config)
+        points = [(psi0, config.ratio, psi0) for psi0 in psi0s]
+    rows = []
+    for idx, (sweep_value, ratio, psi0) in enumerate(points):
+        spec = build_train_spec(
+            ratio,
+            (psi0 / 360.0) % 1.0,
+            config.n_tot,
+            config.kappa1,
+            config.kappa2,
+            config.pulse_shape(),
+            config.kbar_effective,
+        )
+        timeline = resolve_timeline(spec, config.min_steps_per_pulse)
+        rows.extend(_run_point(config, timeline, idx, sweep_value))
+    return SweepResult(rows=rows, config=config)
 
 
 def _format(x) -> str:
@@ -381,13 +360,8 @@ def emit_outputs(result: SweepResult, out_dir) -> list:
     if not result.rows:
         return manifest
 
-    for i, row in enumerate(result.rows):
-        dist_name = f"dist_{row.engine}_{i:04d}.csv"
-        row.distribution.save_csv(os.path.join(out_dir, dist_name))
-        row.distribution_file = dist_name
-        manifest.append(os.path.join(out_dir, dist_name))
-
     sweep_path = os.path.join(out_dir, "sweep.csv")
+    manifest.append(sweep_path)
     with open(sweep_path, "w") as fh:
         fh.write(UNITS_HEADER + "\n")
         fh.write(f"# sweep_parameter: {result.sweep_parameter}\n")
@@ -395,7 +369,10 @@ def emit_outputs(result: SweepResult, out_dir) -> list:
             "sweep_value,engine,energy,energy_stderr,zero_velocity_fraction,"
             "lineshape_class,distribution_file\n"
         )
-        for row in result.rows:
+        for i, row in enumerate(result.rows):
+            dist_name = f"dist_{row.engine}_{i:04d}.csv"
+            row.distribution.save_csv(os.path.join(out_dir, dist_name))
+            manifest.append(os.path.join(out_dir, dist_name))
             fh.write(
                 ",".join(
                     [
@@ -405,12 +382,11 @@ def emit_outputs(result: SweepResult, out_dir) -> list:
                         _format(row.energy_stderr),
                         _format(row.zero_velocity_fraction),
                         row.lineshape_class,
-                        row.distribution_file,
+                        dist_name,
                     ]
                 )
                 + "\n"
             )
-    manifest.insert(1, sweep_path)
 
     plot_path = os.path.join(out_dir, "plot.gp")
     ylabel = "energy (two-photon-recoil units)"

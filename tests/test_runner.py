@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aokr.runner import (
     RunConfig,
@@ -13,8 +15,6 @@ from aokr.runner import (
     phase_sweep_values,
     read_sweep_csv,
     run,
-    run_phase_sweep,
-    run_ratio_sweep,
     SweepResult,
 )
 
@@ -71,6 +71,16 @@ class TestConfig:
             ("sublevel_factors", (1.5,)),
             ("sublevel_factors", (0.0,)),
             ("sublevel_weights", (0.0,)),
+            ("n_traj_classical", 1),
+            ("n_traj_quantum", 1),
+            ("kbar", -2.0),
+            ("n_workers", 0),
+            ("pulse_rise_ns", -1.0),
+            ("pulse_fall_ns", -1.0),
+            ("pulse_fwhm_ns", 0.0),
+            ("pulse_fwhm_ns", 5.0),  # too short for the default edges
+            ("on_threshold", 0.0),
+            ("on_threshold", 0.5),
         ],
     )
     def test_out_of_range_rejected_naming_field(self, field, value):
@@ -123,7 +133,7 @@ class TestConfig:
                 ]
             )
         )
-        cfg = RunConfig.from_file(path)
+        cfg = RunConfig.from_mapping(parse_config_file(path))
         assert cfg.ratio == 1.4
         assert cfg.kappa2 == 17.7
         assert cfg.sublevel_factors == (0.5, 1.0)
@@ -135,7 +145,7 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("does_not_exist = 1\n")
         with pytest.raises(ValueError) as info:
-            RunConfig.from_file(path)
+            RunConfig.from_mapping(parse_config_file(path))
         assert "does_not_exist" in str(info.value)
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -165,7 +175,7 @@ class TestSweeps:
         # r' = 1 with psi0' = 52 is the same physics and the same stream
         # as a single phase point at r = 1, psi0 = 52
         single = run(fast_config(engine="both"))
-        ratio = run_ratio_sweep(
+        ratio = run(
             fast_config(mode="ratio_sweep", engine="both", r_prime_values=(1.0,), psi0_prime_deg=52.0)
         )
         for rs, rr in zip(single.rows, ratio.rows):
@@ -182,7 +192,7 @@ class TestSweeps:
             n_traj_classical=16,
             n_traj_quantum=4,
         )
-        res = run_phase_sweep(cfg)
+        res = run(cfg)
         assert [(r.sweep_value, r.engine) for r in res.rows] == [
             (100.0, "classical"),
             (100.0, "quantum"),
@@ -190,14 +200,10 @@ class TestSweeps:
             (110.0, "quantum"),
         ]
 
-    def test_wrong_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_ratio_sweep(fast_config(mode="single"))
-
 
 class TestOutputs:
     def test_empty_sweep_manifest_has_config_only(self, tmp_path):
-        res = SweepResult(mode="phase_sweep", sweep_parameter="psi0_deg", rows=[], config=fast_config())
+        res = SweepResult(rows=[], config=fast_config())
         manifest = emit_outputs(res, tmp_path)
         assert len(manifest) == 1
         assert manifest[0].endswith("config.json")
@@ -214,7 +220,7 @@ class TestOutputs:
             n_traj_classical=32,
             n_traj_quantum=4,
         )
-        res = run_phase_sweep(cfg)
+        res = run(cfg)
         manifest = emit_outputs(res, tmp_path)
         rows = read_sweep_csv(os.path.join(tmp_path, "sweep.csv"))
         assert len(rows) == 4
@@ -279,16 +285,126 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["single", "--psi0", "400", "--out", str(tmp_path)])
 
-    def test_bad_n_max_rejected_before_any_engine_runs(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
         from aokr import runner
-        from aokr.cli import main
 
         def engine_called(*args, **kwargs):
             raise AssertionError("an engine ran before the config was validated")
 
         monkeypatch.setattr(runner, "run_classical_ensemble", engine_called)
         monkeypatch.setattr(runner, "run_mcwf_trajectories", engine_called)
+
+    def test_bad_n_max_rejected_before_any_engine_runs(self, tmp_path, no_engine, capsys):
+        from aokr.cli import main
+
         with pytest.raises(SystemExit) as info:
             main(["single", "--n-max", "100", "--out", str(tmp_path)])
         assert info.value.code == 2
         assert "n_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--n-traj-classical", "1", "n_traj_classical"),
+            ("--kbar", "-2", "kbar"),
+            ("--pulse-fwhm-ns", "5", "pulse_fwhm_ns"),
+            ("--workers", "0", "n_workers"),
+        ],
+    )
+    def test_bad_input_rejected_before_any_engine_runs(
+        self, tmp_path, no_engine, capsys, flag, value, field
+    ):
+        from aokr.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["single", flag, value, "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert f"{field}: must" in capsys.readouterr().err
+
+    def test_unreadable_value_rejected_naming_key(self, tmp_path, no_engine, capsys):
+        from aokr.cli import main
+
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("n_tot = 3.5\n")
+        for argv in (
+            ["single", "--config", str(cfg_path)],
+            ["ratio-sweep", "--r-prime", "1,x"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--out", str(tmp_path)])
+            assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "n_tot: cannot read '3.5' as int" in err
+        assert "r_prime_values: cannot read '1,x' as tuple" in err
+
+    def test_ratio_sweep_run(self, tmp_path, capsys):
+        from aokr.cli import main
+
+        rc = main(
+            [
+                "ratio-sweep",
+                "--r-prime", "1,1.3", "--psi0-prime", "52", "--engine", "classical",
+                "--n-traj-classical", "32", "--n-tot", "4",
+                "--cloud-sigma-mm", "0", "--seed", "1",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        assert "r_prime=1.3 engine=classical" in capsys.readouterr().out
+        rows = read_sweep_csv(tmp_path / "sweep.csv")
+        assert [(r["sweep_value"], r["distribution_file"]) for r in rows] == [
+            (1.0, "dist_classical_0000.csv"),
+            (1.3, "dist_classical_0001.csv"),
+        ]
+        assert "# sweep_parameter: r_prime\n" in (tmp_path / "sweep.csv").read_text()
+        assert "set ylabel 'zero-velocity fraction'" in (tmp_path / "plot.gp").read_text()
+
+
+def _parse_cli(argv):
+    import argparse
+
+    from aokr import cli
+
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    return cli._build_config(parser.parse_args(argv), "ratio_sweep")
+
+
+_text = st.from_regex(r"[A-Za-z0-9_./]{1,20}", fullmatch=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    values=st.fixed_dictionaries(
+        {
+            "engine": st.sampled_from(["classical", "quantum", "both"]),
+            "output_dir": _text.filter(lambda t: not t.startswith("-")),
+            "n_tot": st.integers(1, 60),
+            "seed": st.integers(0, 2**63),
+            "n_traj_quantum": st.integers(2, 10**6),
+            "n_max": st.sampled_from([64, 128, 1024, 8192]),
+            "n_workers": st.integers(1, 64),
+            "ratio": st.floats(0.01, 100.0),
+            "kappa1": st.floats(0.0, 100.0),
+            "eta": st.floats(0.0, 0.99),
+            "kbar": st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+            "psi0_prime_deg": st.floats(0.0, 359.0),
+            "bin_width": st.floats(1e-3, 10.0),
+            "r_prime_values": st.lists(st.floats(1.0, 50.0), min_size=1, max_size=5).map(tuple),
+        }
+    )
+)
+def test_config_file_and_flags_build_the_same_config(tmp_path_factory, values):
+    from aokr.cli import _FLAGS
+
+    def text(v):
+        return ",".join(map(repr, v)) if isinstance(v, tuple) else str(v)
+
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text("".join(f"{k} = {text(v)}\n" for k, v in values.items()))
+    flag_of = {field: flag for flag, field, _ in _FLAGS}
+    argv = [a for k, v in values.items() for a in (flag_of[k], text(v))]
+    from_file = _parse_cli(["--config", str(path)])
+    from_flags = _parse_cli(argv)
+    assert from_file == from_flags == RunConfig(mode="ratio_sweep", **values)
