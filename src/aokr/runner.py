@@ -123,7 +123,7 @@ class RunConfig:
             for rp in self.r_prime_values:
                 if rp <= 0:
                     problems.append(f"r_prime_values: must be positive, got {rp}")
-                elif self.psi0_prime_deg / rp >= 360.0:
+                elif self.psi0_prime_deg * (1.0 / rp) >= 360.0:  # run's own arithmetic
                     problems.append(
                         f"r_prime_values: r'={rp} puts the first pulse of train 2 "
                         f"beyond one primary period (psi0 = psi0_prime/r' >= 360 deg)"

@@ -104,6 +104,12 @@ class TestConfig:
         cfg = fast_config(mode="ratio_sweep", r_prime_values=(0.1,), psi0_prime_deg=52.0)
         with pytest.raises(ValueError):
             cfg.validate()
+        # psi0'/r' rounds below 360 here but psi0' * (1/r'), the delay the run uses, does not
+        edge = fast_config(
+            mode="ratio_sweep", r_prime_values=(0.39368495004638177,), psi0_prime_deg=141.72658201669742
+        )
+        with pytest.raises(ValueError, match="r_prime_values"):
+            edge.validate()
 
     def test_kbar_derived_when_zero(self):
         cfg = fast_config(kbar=0.0, t1_us=30.0)
