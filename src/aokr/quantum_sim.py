@@ -79,8 +79,8 @@ def _pulse_rows(psi, q, kf, decay_scale, k_mid, h: float, kbar: float):
     Per step: half free phase; multiply on the position grid by
     exp(-i k h kf cos(phi)/kbar) * exp(-k h decay_scale (1 + cos phi));
     transform back; half free phase.  The half phases of adjacent steps
-    are fused.  Norms are non-increasing and conserved to rounding where
-    decay_scale = 0.
+    are fused.  decay_scale is one float for every row.  Norms are
+    non-increasing and conserved to rounding where decay_scale = 0.
     """
     _, cos_phi = _grids(psi.shape[1])
     half = _free_phases(q, kbar, psi.shape[1], 0.5 * h)
@@ -88,7 +88,7 @@ def _pulse_rows(psi, q, kf, decay_scale, k_mid, h: float, kbar: float):
     psi *= half
     for j, k_j in enumerate(k_mid):
         w = (-1j * h * k_j / kbar) * kf - h * k_j * decay_scale
-        mult = np.exp(np.outer(w, cos_phi) - (h * k_j * decay_scale)[:, None])
+        mult = np.exp(np.outer(w, cos_phi) - h * k_j * decay_scale)
         x = np.fft.ifft(psi, axis=1)
         x *= mult
         np.fft.fft(x, axis=1, out=psi)
@@ -197,7 +197,7 @@ def kick_step(psi: Wavefunction, k_rate: float, eta_rate: float, dtau: float) ->
         raise ValueError("dtau must be positive")
     c, q = psi._row()
     c = c.copy()
-    _pulse_rows(c, q, np.ones(1), np.array([0.5 * eta_rate]), (k_rate,), dtau, psi.kbar)
+    _pulse_rows(c, q, np.ones(1), 0.5 * eta_rate, (k_rate,), dtau, psi.kbar)
     return Wavefunction(c=c[0], q=psi.q, kbar=psi.kbar)
 
 
@@ -232,13 +232,13 @@ class QuantumEnsembleResult:
         return len(self.energies)
 
 
-def _decay_rate(params: EnsembleParams, timeline: ResolvedTimeline, kick_factor):
+def _decay_rate(params: EnsembleParams, timeline: ResolvedTimeline) -> float:
     """eta_rate making the per-pulse emission probability equal eta.
 
     Normalised against the reference single-pulse area (kappa of train 1,
-    falling back to train 2), and against the trajectory's kick factor so
-    the probability stays at eta for every trajectory; overlap-doubled
-    pulses decay proportionally more.
+    falling back to train 2).  The decay does not scale with a
+    trajectory's kick factor, so the probability stays at eta for every
+    trajectory; overlap-doubled pulses decay proportionally more.
     """
     if params.eta_per_pulse == 0:
         return 0.0
@@ -246,7 +246,7 @@ def _decay_rate(params: EnsembleParams, timeline: ResolvedTimeline, kick_factor)
     kappa_ref = spec.kappa1 if spec.kappa1 > 0 else spec.kappa2
     if kappa_ref <= 0:
         return 0.0
-    return params.eta_per_pulse / (kappa_ref * kick_factor)
+    return params.eta_per_pulse / kappa_ref
 
 
 def _quantum_chunk(job):
@@ -268,7 +268,7 @@ def _quantum_chunk(job):
         index, q[i] = _ladder_start(rho0, kbar, n_max)
         psi[i, index] = 1.0
 
-    decay_scale = 0.5 * kf * _decay_rate(params, timeline, kf)  # row constant in the exponent
+    decay_scale = 0.5 * _decay_rate(params, timeline)
     jump_counts = np.zeros(n_rows, dtype=int)
 
     prev_end = None
