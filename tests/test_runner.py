@@ -377,15 +377,12 @@ def _parse_cli(argv):
     return cli._build_config(parser.parse_args(argv), "ratio_sweep")
 
 
-_text = st.from_regex(r"[A-Za-z0-9_./]{1,20}", fullmatch=True)
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     values=st.fixed_dictionaries(
         {
             "engine": st.sampled_from(["classical", "quantum", "both"]),
-            "output_dir": _text.filter(lambda t: not t.startswith("-")),
+            "output_dir": st.from_regex(r"[A-Za-z0-9_./]{1,20}", fullmatch=True),
             "n_tot": st.integers(1, 60),
             "seed": st.integers(0, 2**63),
             "n_traj_quantum": st.integers(2, 10**6),
