@@ -19,7 +19,6 @@ from .analysis import (
 from .classical_sim import (
     ClassicalState,
     EnsembleParams,
-    MomentumSamples,
     draw_momentum_and_kick_factor,
     evolve_pulse,
     run_classical_ensemble,
@@ -47,7 +46,6 @@ from .quantum_sim import (
     init_wavefunction,
     kick_step,
     mcwf_check_jump,
-    run_mcwf_ensemble,
     run_mcwf_trajectories,
 )
 from .runner import RunConfig, SweepResult, emit_outputs, run
@@ -61,7 +59,6 @@ __all__ = [
     "JumpRecord",
     "LineshapeReport",
     "MomentumDistribution",
-    "MomentumSamples",
     "PulseShapeParams",
     "QuantumEnsembleResult",
     "ResolvedTimeline",
@@ -90,7 +87,6 @@ __all__ = [
     "resolve_timeline",
     "run",
     "run_classical_ensemble",
-    "run_mcwf_ensemble",
     "run_mcwf_trajectories",
     "sample_initial_classical",
     "single_train_spec",

@@ -85,35 +85,21 @@ class MomentumDistribution:
         return cls(bin_centers=centers, masses=data[:, 1] * width)
 
 
-def _sample_values(dist_or_samples):
-    from .classical_sim import MomentumSamples  # local import to avoid a cycle
-
-    if isinstance(dist_or_samples, MomentumSamples):
-        return np.asarray(dist_or_samples.values, dtype=float)
-    return np.asarray(dist_or_samples, dtype=float)
-
-
 def energy(dist_or_samples) -> float:
     """Mean kinetic energy <n^2>/2 of a distribution or of raw samples."""
     if isinstance(dist_or_samples, MomentumDistribution):
         return float(np.sum(dist_or_samples.masses * dist_or_samples.bin_centers**2) / 2.0)
-    values = _sample_values(dist_or_samples)
+    values = np.asarray(dist_or_samples, dtype=float)
     if values.size == 0:
         raise ValueError("energy of an empty sample set is undefined")
     return float(np.mean(values**2) / 2.0)
 
 
-def energy_stderr(dist_or_samples) -> float:
-    """Standard error of the mean energy over trajectories.
-
-    For samples the per-trajectory contribution is n_i^2/2; an array of
-    per-trajectory energies may be passed directly.
-    """
-    values = _sample_values(dist_or_samples)
-    if values.size < 2:
-        raise ValueError("need at least two trajectories for a standard error")
-    contrib = values**2 / 2.0
-    return float(np.std(contrib, ddof=1) / math.sqrt(values.size))
+def energy_stderr(samples) -> float:
+    """Standard error of the mean energy over trajectories with final
+    momenta samples: the mean_stderr of the contributions n_i^2/2."""
+    values = np.asarray(samples, dtype=float)
+    return mean_stderr(values**2 / 2.0)
 
 
 def mean_stderr(per_trajectory_values) -> float:

@@ -83,28 +83,6 @@ class EnsembleParams:
         return thermal_sigma_recoils(self.temperature_uk)
 
 
-@dataclass(frozen=True)
-class MomentumSamples:
-    """Final trajectory momenta in two-photon-recoil units (rho / kbar)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("MomentumSamples requires at least one trajectory")
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("# units: momentum=two-photon-recoils\n")
-            fh.write("momentum\n")
-            for v in self.values:
-                fh.write(f"{v:.17g}\n")
-
-
 def draw_momentum_and_kick_factor(params: EnsembleParams, rng):
     """Thermal start momentum and kick-strength factor, shared by both engines.
 
@@ -176,7 +154,7 @@ def evolve_pulse(state: ClassicalState, pulse, rng, params: EnsembleParams) -> C
 
 
 def _classical_chunk(job):
-    """Evolve one chunk of trajectories; returns (lo, final momenta in recoils)."""
+    """Evolve trajectories lo..hi-1; returns their final momenta in recoils."""
     timeline, params, sweep_index, lo, hi = job
     n = hi - lo
     n_checks = sum(p.n_constituents for p in timeline.pulses)
@@ -199,7 +177,7 @@ def _classical_chunk(job):
         phi, rho = _evolve_pulse_rows(phi, rho, kf, pulse, fire[:, checks], recoils[:, checks])
         cursor = checks.stop
         prev_end = pulse.end
-    return lo, rho / params.kbar
+    return rho / params.kbar
 
 
 def run_classical_ensemble(
@@ -210,21 +188,18 @@ def run_classical_ensemble(
     sweep_index: int = 0,
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> MomentumSamples:
-    """Evolve n_traj independent trajectories through the timeline.
+) -> np.ndarray:
+    """Final momenta (in recoils) of n_traj independent trajectories
+    evolved through the timeline, in trajectory order.
 
     Deterministic for a fixed (rng_seed, sweep_index) regardless of
-    n_workers: trajectories are split into fixed-size chunks, each chunk
-    is computed as one vectorised unit, and chunks are reassembled in
-    order.
+    n_workers and chunk_size: trajectory i always draws from its own
+    stream, each chunk is computed as one vectorised unit, and the chunks
+    are concatenated in order.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     jobs = [
         (timeline, params, sweep_index, lo, hi) for lo, hi in chunk_bounds(n_traj, chunk_size)
     ]
-    results = chunked_map(_classical_chunk, jobs, n_workers)
-    out = np.empty(n_traj)
-    for lo, values in results:
-        out[lo : lo + len(values)] = values
-    return MomentumSamples(values=out)
+    return np.concatenate(chunked_map(_classical_chunk, jobs, n_workers))

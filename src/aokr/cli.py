@@ -90,7 +90,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _build_config(args, args.mode)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError names the unreadable --config path
         parser.error(str(exc))
 
     result = run(config)

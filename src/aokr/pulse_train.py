@@ -283,10 +283,6 @@ class ResultantPulse:
         return (self.end - self.start) / self.n_steps
 
     @property
-    def tau_mid(self) -> np.ndarray:
-        return self.start + (np.arange(self.n_steps) + 0.5) * self.step
-
-    @property
     def n_constituents(self) -> int:
         return len(self.constituents)
 
@@ -326,17 +322,6 @@ class ResolvedTimeline:
             if kmax[tr] > 0:
                 out = out + pulse_envelope(tau - c, kmax[tr], self.spec.shape)
         return out
-
-    def to_csv(self, path):
-        """Write the (tau, k) grid of every resultant pulse, gaps as zero rows."""
-        with open(path, "w") as fh:
-            fh.write("# units: tau=T1 k=scaled-rate\n")
-            fh.write("tau,k\n")
-            for pulse in self.pulses:
-                fh.write(f"{pulse.start:.17g},0\n")
-                for t, k in zip(pulse.tau_mid, pulse.k_mid):
-                    fh.write(f"{t:.17g},{k:.17g}\n")
-                fh.write(f"{pulse.end:.17g},0\n")
 
 
 def resolve_timeline(

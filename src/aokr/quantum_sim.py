@@ -250,9 +250,10 @@ def _decay_rate(params: EnsembleParams, timeline: ResolvedTimeline) -> float:
 
 
 def _quantum_chunk(job):
-    """Evolve one chunk of quantum trajectories.
+    """Evolve quantum trajectories lo..hi-1.
 
-    Returns (lo, per-trajectory energies, histogram mass sum, jump counts).
+    Returns (per-trajectory energies, the rows' summed momentum histogram
+    on momentum_bin_grid(bin_width, n_max + 1), per-trajectory jump counts).
     """
     timeline, params, sweep_index, lo, hi, n_max, bin_width = job
     n_rows = hi - lo
@@ -298,7 +299,7 @@ def _quantum_chunk(job):
     for i in range(n_rows):
         hist, _ = np.histogram(momenta[i], bins=edges, weights=weights[i])
         hist_sum += hist
-    return lo, energies, hist_sum, jump_counts
+    return energies, hist_sum, jump_counts
 
 
 def run_mcwf_trajectories(
@@ -315,7 +316,8 @@ def run_mcwf_trajectories(
     """Run a quantum trajectory ensemble and average it incoherently.
 
     Deterministic for fixed (rng_seed, sweep_index) regardless of worker
-    count; see run_classical_ensemble for the chunking scheme.
+    count; see run_classical_ensemble for the chunking scheme.  The chunk
+    histograms are added in chunk order.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -323,23 +325,11 @@ def run_mcwf_trajectories(
         (timeline, params, sweep_index, lo, hi, n_max, bin_width)
         for lo, hi in chunk_bounds(n_traj, chunk_size)
     ]
-    results = chunked_map(_quantum_chunk, jobs, n_workers)
-    energies = np.empty(n_traj)
-    jump_counts = np.empty(n_traj, dtype=int)
+    energies, hists, jump_counts = zip(*chunked_map(_quantum_chunk, jobs, n_workers))
     centers, _ = momentum_bin_grid(bin_width, n_max + 1.0)
-    hist_total = np.zeros(len(centers))
-    for lo, e, hist, jumps in results:
-        energies[lo : lo + len(e)] = e
-        jump_counts[lo : lo + len(jumps)] = jumps
-        hist_total += hist
-    masses = hist_total / n_traj
-    dist = MomentumDistribution(bin_centers=centers, masses=masses)
-    return QuantumEnsembleResult(distribution=dist, energies=energies, jump_counts=jump_counts)
-
-
-def run_mcwf_ensemble(
-    timeline: ResolvedTimeline, params: EnsembleParams, n_traj: int = 1000, **kwargs
-) -> MomentumDistribution:
-    """Incoherent trajectory-averaged momentum distribution (see
-    run_mcwf_trajectories for per-trajectory diagnostics)."""
-    return run_mcwf_trajectories(timeline, params, n_traj, **kwargs).distribution
+    dist = MomentumDistribution(bin_centers=centers, masses=sum(hists) / n_traj)
+    return QuantumEnsembleResult(
+        distribution=dist,
+        energies=np.concatenate(energies),
+        jump_counts=np.concatenate(jump_counts),
+    )

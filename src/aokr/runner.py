@@ -258,21 +258,24 @@ def _classify_or_undetermined(dist):
 
 
 def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float):
-    """Run the selected engines on one resolved timeline."""
+    """Run the selected engines on one resolved timeline.
+
+    Each engine yields a momentum distribution and per-trajectory
+    energies; every row is reduced from those two the same way.
+    """
     rows = []
     params = config.ensemble_params()
     for engine in config.engines():
         if engine == ENGINE_CLASSICAL:
-            samples = run_classical_ensemble(
+            momenta = run_classical_ensemble(
                 timeline,
                 params,
                 config.n_traj_classical,
                 sweep_index=sweep_index,
                 n_workers=config.n_workers,
             )
-            dist = analysis.MomentumDistribution.from_samples(samples.values, config.bin_width)
-            e = analysis.energy(samples)
-            stderr = analysis.energy_stderr(samples)
+            dist = analysis.MomentumDistribution.from_samples(momenta, config.bin_width)
+            energies = momenta**2 / 2.0
         else:
             result = run_mcwf_trajectories(
                 timeline,
@@ -283,15 +286,13 @@ def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float
                 n_workers=config.n_workers,
                 bin_width=config.bin_width,
             )
-            dist = result.distribution
-            e = float(np.mean(result.energies))
-            stderr = analysis.mean_stderr(result.energies)
+            dist, energies = result.distribution, result.energies
         rows.append(
             SweepRow(
                 sweep_value=sweep_value,
                 engine=engine,
-                energy=e,
-                energy_stderr=stderr,
+                energy=float(np.mean(energies)),
+                energy_stderr=analysis.mean_stderr(energies),
                 zero_velocity_fraction=analysis.zero_velocity_fraction(
                     dist, config.epsilon_zero_velocity
                 ),

@@ -206,7 +206,7 @@ def test_criterion_4_dynamical_localisation(rational_point):
     samples, e_cl, se_cl, q_result, e_q, se_q = rational_point
     gap_sigmas = (e_cl - e_q) / math.sqrt(se_cl**2 + se_q**2)
     cl_class = classify_lineshape(
-        MomentumDistribution.from_samples(samples.values)
+        MomentumDistribution.from_samples(samples)
     ).lineshape_class
     q_class = classify_lineshape(q_result.distribution).lineshape_class
     ok = (
@@ -300,7 +300,7 @@ def test_criterion_8_zero_velocity_peaks():
         params = ensemble(0.028, seed)
         if engine == "classical":
             samples, _, _ = classical_energy(tl, params, 10000)
-            dist = MomentumDistribution.from_samples(samples.values)
+            dist = MomentumDistribution.from_samples(samples)
         else:
             result, _, _ = quantum_energy(tl, params, 1000)
             dist = result.distribution

@@ -15,7 +15,6 @@ from aokr.analysis import (
     momentum_bin_grid,
     zero_velocity_fraction,
 )
-from aokr.classical_sim import MomentumSamples
 
 
 def dist_from_masses(centers, masses):
@@ -68,10 +67,6 @@ class TestEnergy:
         sigma = 2.51
         values = rng.normal(0, sigma, 200000)
         assert energy(values) == pytest.approx(sigma**2 / 2, rel=0.01)
-
-    def test_momentum_samples_object(self):
-        samples = MomentumSamples(values=np.array([1.0, -1.0, 1.0, -1.0]))
-        assert energy(samples) == pytest.approx(0.5)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 from aokr.classical_sim import (
     ClassicalState,
     EnsembleParams,
-    MomentumSamples,
     evolve_pulse,
     run_classical_ensemble,
     sample_initial_classical,
@@ -163,7 +162,7 @@ class TestEnsemble:
         samples = run_classical_ensemble(tl, params, 10)
         stream = trajectory_stream(9, 0, ENGINE_CLASSICAL, 3)
         expected = sample_initial_classical(params, stream).rho / KBAR
-        assert samples.values[3] == expected
+        assert samples[3] == expected
 
     def test_energy_conserved_with_zero_kappa_and_eta(self):
         spec = single_train_spec(5, 0.0, PulseShapeParams.square(0.016), KBAR)
@@ -175,7 +174,7 @@ class TestEnsemble:
             / KBAR
             for i in range(64)
         ]
-        assert np.array_equal(s1.values, np.array(inits))
+        assert np.array_equal(s1, np.array(inits))
 
     def test_matches_per_trajectory_route_on_overlapped_timeline(self):
         # r = 1, psi0 = 0: every resultant pulse has two constituents.
@@ -196,7 +195,7 @@ class TestEnsemble:
                     state = ClassicalState(phi, state.rho, state.kick_factor)
                 state = evolve_pulse(state, pulse, stream, params)
                 prev_end = pulse.end
-            assert samples.values[i] == state.rho / KBAR
+            assert samples[i] == state.rho / KBAR
 
     def test_worker_count_invariance(self):
         shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
@@ -205,12 +204,12 @@ class TestEnsemble:
         params = params_with(eta_per_pulse=0.028, rng_seed=5)
         a = run_classical_ensemble(tl, params, 700, n_workers=1, chunk_size=256)
         b = run_classical_ensemble(tl, params, 700, n_workers=4, chunk_size=256)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         # a row's result does not depend on which rows share its chunk
         ref = run_classical_ensemble(tl, params, 2048, n_workers=2)
         for chunk_size in (1, 7, 256, 2048):
             c = run_classical_ensemble(tl, params, 2048, n_workers=2, chunk_size=chunk_size)
-            assert np.array_equal(c.values, ref.values), f"chunk_size={chunk_size}"
+            assert np.array_equal(c, ref), f"chunk_size={chunk_size}"
 
     def test_time_reversal_recovers_start(self):
         # volume preservation: forward pulses, then the reversed pulse
@@ -253,14 +252,6 @@ class TestEnsemble:
         tl_mid = resolve_timeline(
             build_train_spec(1.0, 0.5, 30, 10.1, 10.1, shape, KBAR)
         )
-        e_kam = np.mean(run_classical_ensemble(tl_kam, params, 1500).values**2) / 2
-        e_mid = np.mean(run_classical_ensemble(tl_mid, params, 1500).values**2) / 2
+        e_kam = np.mean(run_classical_ensemble(tl_kam, params, 1500)**2) / 2
+        e_mid = np.mean(run_classical_ensemble(tl_mid, params, 1500)**2) / 2
         assert e_kam < e_mid
-
-    def test_momentum_samples_csv(self, tmp_path):
-        samples = MomentumSamples(values=np.array([0.25, -1.5]))
-        path = tmp_path / "samples.csv"
-        samples.to_csv(path)
-        body = path.read_text().splitlines()
-        assert body[0].startswith("# units: momentum=two-photon-recoils")
-        assert float(body[2]) == 0.25

@@ -198,15 +198,6 @@ class TestResolveTimeline:
         for a, b in zip(tl.pulses, tl.pulses[1:]):
             assert a.end <= b.start
 
-    def test_csv_export(self, tmp_path):
-        spec = single_train_spec(2, 10.1, measured_shape(), KBAR)
-        tl = resolve_timeline(spec)
-        path = tmp_path / "timeline.csv"
-        tl.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[1] == "tau,k"
-        assert len(lines) > 2 + 2 * 16
-
 
 class TestSpecValidation:
     def test_alpha0_range(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aokr.analysis import MomentumDistribution, energy
+from aokr.analysis import energy
 from aokr.classical_sim import EnsembleParams, draw_momentum_and_kick_factor, run_classical_ensemble
 from aokr.pulse_train import (
     PulseShapeParams,
@@ -19,7 +19,6 @@ from aokr.quantum_sim import (
     init_wavefunction,
     kick_step,
     mcwf_check_jump,
-    run_mcwf_ensemble,
     run_mcwf_trajectories,
 )
 from aokr.streams import ENGINE_QUANTUM, trajectory_stream
@@ -269,13 +268,6 @@ class TestEnsemble:
                 c.distribution.masses, a.distribution.masses, rtol=0, atol=1e-15
             )
 
-    def test_run_mcwf_ensemble_returns_distribution(self):
-        spec = single_train_spec(3, 5.0, PulseShapeParams.square(0.016), KBAR)
-        tl = resolve_timeline(spec)
-        dist = run_mcwf_ensemble(tl, params_with(), 16, n_max=128)
-        assert isinstance(dist, MomentumDistribution)
-        assert dist.masses.sum() == pytest.approx(1.0, abs=1e-9)
-
     def test_grid_overflow_detected(self):
         # small-kbar diffusion on a deliberately tight grid must trip the
         # boundary guard instead of aliasing silently
@@ -301,7 +293,7 @@ class TestEnsemble:
         tl = resolve_timeline(spec)
         cl = EnsembleParams(kbar=kbar, temperature_uk=0.5, cloud_sigma_mm=0.0, rng_seed=3)
         samples = run_classical_ensemble(tl, cl, 40000)
-        rho2_classical = np.mean((samples.values * kbar) ** 2)
+        rho2_classical = np.mean((samples * kbar) ** 2)
         result = run_mcwf_trajectories(tl, cl, 600, n_max=512)
         rho2_quantum = np.mean(result.energies) * 2 * kbar**2
         assert rho2_quantum == pytest.approx(rho2_classical, rel=0.05)

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aokr.analysis import energy, energy_stderr
+from aokr.classical_sim import run_classical_ensemble
+from aokr.pulse_train import build_train_spec, resolve_timeline
 from aokr.runner import (
     RunConfig,
     emit_outputs,
@@ -206,6 +209,25 @@ class TestSweeps:
             (110.0, "quantum"),
         ]
 
+    def test_classical_row_reduces_the_ensemble_momenta(self):
+        # the run layer reduces per-trajectory energies n^2/2; that equals
+        # energy() and energy_stderr() of the momenta bit for bit
+        cfg = fast_config(eta=0.028)
+        (row,) = run(cfg).rows
+        spec = build_train_spec(
+            cfg.ratio,
+            cfg.psi0_deg / 360.0,
+            cfg.n_tot,
+            cfg.kappa1,
+            cfg.kappa2,
+            cfg.pulse_shape(),
+            cfg.kbar_effective,
+        )
+        tl = resolve_timeline(spec, cfg.min_steps_per_pulse)
+        m = run_classical_ensemble(tl, cfg.ensemble_params(), cfg.n_traj_classical, sweep_index=0)
+        assert row.energy == energy(m)
+        assert row.energy_stderr == energy_stderr(m)
+
 
 class TestOutputs:
     def test_empty_sweep_manifest_has_config_only(self, tmp_path):
@@ -308,6 +330,16 @@ class TestCli:
             main(["single", "--n-max", "100", "--out", str(tmp_path)])
         assert info.value.code == 2
         assert "n_max" in capsys.readouterr().err
+
+    def test_unreadable_config_path_rejected_naming_it(self, tmp_path, no_engine, capsys):
+        from aokr.cli import main
+
+        missing = tmp_path / "missing.cfg"
+        for path in (missing, tmp_path):  # no such file; a directory
+            with pytest.raises(SystemExit) as info:
+                main(["single", "--config", str(path), "--out", str(tmp_path)])
+            assert info.value.code == 2
+            assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, field",
