@@ -1,7 +1,10 @@
 """Observables: energies, zero-velocity fractions, lineshape classes, spectra.
 
 Momentum is everywhere in two-photon-recoil units (rho / kbar); energy is
-<n^2>/2 in those units.
+<n^2>/2 in those units.  One binning routine, bin_momenta, builds every
+momentum histogram: the classical engine's samples (through
+MomentumDistribution.from_samples) and the quantum engine's weighted
+ladder populations alike.  This module imports no engine.
 """
 
 import math
@@ -30,6 +33,23 @@ def momentum_bin_grid(bin_width: float, half_range: float):
     centers = np.arange(-n_half, n_half + 1) * bin_width
     edges = (np.arange(-n_half, n_half + 2) - 0.5) * bin_width
     return centers, edges
+
+
+def bin_momenta(momenta, bin_width: float, half_range: float, weights=None):
+    """Sum weights (default 1 each) of momenta, any shape, into the bins of
+    momentum_bin_grid(bin_width, half_range).
+
+    Bins are half-open, [edge_i, edge_i+1), and every momentum must lie
+    inside the grid.  Entries are added in the order of momenta.ravel(),
+    so rows are summed in row order and both tails keep their mass alike.
+    Returns (centers, sums).
+    """
+    centers, edges = momentum_bin_grid(bin_width, half_range)
+    idx = np.searchsorted(edges, momenta, side="right")
+    idx -= 1
+    if weights is not None:
+        weights = np.ravel(weights)
+    return centers, np.bincount(idx.ravel(), weights, minlength=len(centers))
 
 
 @dataclass(frozen=True)
@@ -65,9 +85,8 @@ class MomentumDistribution:
         if values.size == 0:
             raise ValueError("no samples")
         half = max(float(np.max(np.abs(values))) + bin_width, bin_width)
-        centers, edges = momentum_bin_grid(bin_width, half)
-        hist, _ = np.histogram(values, bins=edges)
-        return cls(bin_centers=centers, masses=hist / values.size)
+        centers, counts = bin_momenta(values, bin_width, half)
+        return cls(bin_centers=centers, masses=counts / values.size)
 
     def save_csv(self, path):
         w = self.bin_width

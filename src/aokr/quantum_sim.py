@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import MomentumDistribution, momentum_bin_grid
+from .analysis import MomentumDistribution, bin_momenta, momentum_bin_grid
 from .classical_sim import EnsembleParams, draw_momentum_and_kick_factor
 from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
@@ -294,11 +294,7 @@ def _quantum_chunk(job):
         prev_end = pulse.end
 
     energies, weights, momenta = _energies(psi, q, kbar)
-    centers, edges = momentum_bin_grid(bin_width, n_max + 1.0)
-    hist_sum = np.zeros(len(centers))
-    for i in range(n_rows):
-        hist, _ = np.histogram(momenta[i], bins=edges, weights=weights[i])
-        hist_sum += hist
+    _, hist_sum = bin_momenta(momenta, bin_width, n_max + 1.0, weights)
     return energies, hist_sum, jump_counts
 
 

@@ -33,9 +33,14 @@ class TestDistribution:
 
     def test_from_samples_covers_all(self):
         rng = np.random.default_rng(0)
-        values = rng.normal(0, 3, 1000)
+        # bin edges lie at odd multiples of 0.25; include some of them exactly
+        edges_hit = np.array([-7.25, -0.25, 0.25, 0.75, 4.75])
+        values = np.concatenate([rng.normal(0, 3, 1000), edges_hit])
         dist = MomentumDistribution.from_samples(values, 0.5)
         assert dist.masses.sum() == pytest.approx(1.0, abs=1e-12)
+        _, edges = momentum_bin_grid(0.5, dist.bin_centers[-1])
+        counts, _ = np.histogram(values, bins=edges)
+        assert np.array_equal(dist.masses, counts / values.size)
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -268,6 +268,19 @@ class TestEnsemble:
                 c.distribution.masses, a.distribution.masses, rtol=0, atol=1e-15
             )
 
+    def test_both_histogram_tails_keep_their_mass(self):
+        # the populations far out on either side are ~1e-31; binning must
+        # not round them away on one side only
+        shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
+        tl = resolve_timeline(single_train_spec(3, 10.1, shape, KBAR))
+        params = params_with(eta_per_pulse=0.028, rng_seed=7)
+        dist = run_mcwf_trajectories(tl, params, 8, n_max=64).distribution
+        far = 32.0
+        low = dist.masses[dist.bin_centers < -far].sum()
+        high = dist.masses[dist.bin_centers > far].sum()
+        assert low > 0
+        assert high > 0
+
     def test_grid_overflow_detected(self):
         # small-kbar diffusion on a deliberately tight grid must trip the
         # boundary guard instead of aliasing silently
