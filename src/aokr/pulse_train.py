@@ -15,7 +15,7 @@ two trains supplied.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -289,39 +289,14 @@ class ResultantPulse:
 
 @dataclass(frozen=True)
 class ResolvedTimeline:
-    """Time-ordered resultant pulses plus the free-flight gaps between them."""
+    """The two trains as time-ordered, disjoint resultant pulses with step grids."""
 
     spec: TwoFreqTrainSpec
     pulses: tuple
-    k_max1: float
-    k_max2: float
-    min_steps_per_pulse: int = DEFAULT_MIN_STEPS
 
     @property
     def n_res(self) -> int:
         return len(self.pulses)
-
-    @property
-    def gaps(self):
-        """Free-flight durations between consecutive resultant pulses."""
-        return tuple(
-            self.pulses[i + 1].start - self.pulses[i].end for i in range(len(self.pulses) - 1)
-        )
-
-    @property
-    def total_area(self) -> float:
-        return sum(p.area for p in self.pulses)
-
-    def envelope(self, tau):
-        """Summed clamped envelope at arbitrary times (for plotting/debug)."""
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros_like(tau)
-        centers, trains = self.spec.pulse_centers()
-        kmax = {1: self.k_max1, 2: self.k_max2}
-        for c, tr in zip(centers, trains):
-            if kmax[tr] > 0:
-                out = out + pulse_envelope(tau - c, kmax[tr], self.spec.shape)
-        return out
 
 
 def resolve_timeline(
@@ -338,9 +313,10 @@ def resolve_timeline(
     """
     if min_steps_per_pulse < 1:
         raise ValueError("min_steps_per_pulse must be >= 1")
-    k_max1 = normalize_height(spec.kappa1, spec.shape)
-    k_max2 = normalize_height(spec.kappa2, spec.shape)
-    kmax = {1: k_max1, 2: k_max2}
+    kmax = {
+        1: normalize_height(spec.kappa1, spec.shape),
+        2: normalize_height(spec.kappa2, spec.shape),
+    }
     kappa = {1: spec.kappa1, 2: spec.kappa2}
     on, off = _threshold_window(spec.shape)
     width = off - on
@@ -379,13 +355,7 @@ def resolve_timeline(
             )
         )
 
-    return ResolvedTimeline(
-        spec=spec,
-        pulses=tuple(pulses),
-        k_max1=k_max1,
-        k_max2=k_max2,
-        min_steps_per_pulse=min_steps_per_pulse,
-    )
+    return ResolvedTimeline(spec=spec, pulses=tuple(pulses))
 
 
 def single_train_spec(

@@ -227,10 +227,6 @@ class QuantumEnsembleResult:
     energies: np.ndarray  # per-trajectory <(rho+q)^2>/2 in recoil units
     jump_counts: np.ndarray
 
-    @property
-    def n_traj(self) -> int:
-        return len(self.energies)
-
 
 def _decay_rate(params: EnsembleParams, timeline: ResolvedTimeline) -> float:
     """eta_rate making the per-pulse emission probability equal eta.
