@@ -8,19 +8,20 @@ m = 0, ..., M-1.  Each pulse carries the same empirical envelope
 
 with t2 - t1 the FWHM; the pulse is deemed on only where the envelope
 exceeds a threshold fraction of k_max (10% by default) and is zero
-elsewhere.  k_max is normalised so that the on-window area equals the
-kick strength kappa.  Overlapping pulses add pointwise, so a resolved
-timeline can contain fewer, taller or longer resultant pulses than the
-two trains supplied.
+elsewhere.  Both edges of that on window come from one bisection (the
+falling edge is the rising edge of the mirrored shape).  k_max is
+normalised so that the on-window area equals the kick strength kappa.
+Overlapping pulses add pointwise, so a resolved timeline can contain
+fewer, taller or longer resultant pulses than the two trains supplied;
+it holds only those pulses, each with the step grid the engines run on.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erf
+from scipy.special import erf, erfcinv
 
 DEFAULT_ON_THRESHOLD = 0.10
 DEFAULT_MIN_STEPS = 16
@@ -169,11 +170,12 @@ def _raw_envelope(t_rel, shape: PulseShapeParams):
 
 
 def _erf_antiderivative(x, delta):
-    """Antiderivative of erf(sqrt(pi) x / delta); reduces to |x| for delta = 0."""
+    """Antiderivative of erf(sqrt(pi) x / delta); reduces to |x| for delta = 0
+    and for a delta so small that sqrt(pi)/delta overflows."""
     x = np.asarray(x, dtype=float)
-    if delta <= 0:
+    c = math.sqrt(math.pi) / delta if delta > 0 else math.inf
+    if c == math.inf:
         return np.abs(x)
-    c = math.sqrt(math.pi) / delta
     return x * erf(c * x) + (delta / math.pi) * np.exp(-((c * x) ** 2))
 
 
@@ -186,41 +188,43 @@ def _window_area(shape: PulseShapeParams, a: float, b: float) -> float:
     return 0.5 * float(up - down)
 
 
+def _rising_edge(shape: PulseShapeParams) -> float:
+    """Offset from the pulse centre where the envelope first exceeds the on threshold.
+
+    The falling erf only lowers the envelope, so the lower bracket is just
+    below where the rising erf alone reaches half the threshold (erfcinv
+    keeps a small threshold's precision; the factor two clears rounding);
+    the upper is the centre.  Bisecting until the midpoint equals an end
+    leaves the envelope above threshold at the edge, and not a float before.
+    """
+    if shape.rise_time == 0:
+        return -0.5 * shape.fwhm
+    thr = shape.on_threshold_fraction
+    lo = -0.5 * shape.fwhm - shape.rise_time / math.sqrt(math.pi) * float(erfcinv(thr))
+    lo = math.nextafter(lo, -math.inf)
+    hi = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if _raw_envelope(mid, shape) > thr:
+            hi = mid
+        else:
+            lo = mid
+
+
 @lru_cache(maxsize=64)
 def _threshold_window(shape: PulseShapeParams):
     """(on, off) offsets from the pulse centre where the envelope crosses
-    the on-threshold; the pulse is defined to be zero outside."""
-    thr = shape.on_threshold_fraction
-    t1 = -0.5 * shape.fwhm
-    t2 = 0.5 * shape.fwhm
-    peak = float(_raw_envelope(0.0, shape))
-    if peak <= thr:
-        raise ValueError(
-            "degenerate pulse shape: peak height is below the on threshold"
-        )
+    the on-threshold; the pulse is defined to be zero outside.
 
-    if shape.rise_time == 0:
-        on = t1
-    else:
-        lo = t1
-        step = shape.rise_time
-        while _raw_envelope(lo, shape) > thr:
-            lo -= step
-            if lo < t1 - 60 * step:
-                raise ValueError("degenerate pulse shape: rising edge never drops below threshold")
-        on = brentq(lambda t: float(_raw_envelope(t, shape)) - thr, lo, 0.0, xtol=1e-15)
-
-    if shape.fall_time == 0:
-        off = t2
-    else:
-        hi = t2
-        step = shape.fall_time
-        while _raw_envelope(hi, shape) > thr:
-            hi += step
-            if hi > t2 + 60 * step:
-                raise ValueError("degenerate pulse shape: falling edge never drops below threshold")
-        off = brentq(lambda t: float(_raw_envelope(t, shape)) - thr, 0.0, hi, xtol=1e-15)
-    return float(on), float(off)
+    erf is odd, so the falling edge is exactly the mirror image of the
+    rising edge of the shape with rise and fall times swapped.
+    """
+    if float(_raw_envelope(0.0, shape)) <= shape.on_threshold_fraction:
+        raise ValueError("degenerate pulse shape: peak height is below the on threshold")
+    mirrored = replace(shape, rise_time=shape.fall_time, fall_time=shape.rise_time)
+    return _rising_edge(shape), -_rising_edge(mirrored)
 
 
 def pulse_envelope(t_rel, k_max: float, shape: PulseShapeParams):
@@ -313,11 +317,8 @@ def resolve_timeline(
     """
     if min_steps_per_pulse < 1:
         raise ValueError("min_steps_per_pulse must be >= 1")
-    kmax = {
-        1: normalize_height(spec.kappa1, spec.shape),
-        2: normalize_height(spec.kappa2, spec.shape),
-    }
     kappa = {1: spec.kappa1, 2: spec.kappa2}
+    kmax = {tr: normalize_height(k, spec.shape) for tr, k in kappa.items()}
     on, off = _threshold_window(spec.shape)
     width = off - on
     base_step = width / min_steps_per_pulse

@@ -2,12 +2,17 @@
 
 Everything here deliberately avoids the code paths under test: pulse
 areas come from scipy's adaptive quadrature of the envelope function,
-and the quantum step from dense matrix exponentiation in the ladder basis.
+pulse edges from brentq on an independently written envelope, and the
+quantum step from dense matrix exponentiation in the ladder basis.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.optimize import brentq
+from scipy.special import erf
 
 
 def envelope_area_quadrature(envelope, lo: float, hi: float) -> float:
@@ -16,6 +21,27 @@ def envelope_area_quadrature(envelope, lo: float, hi: float) -> float:
     a1, _ = quad(lambda t: float(envelope(t)), lo, mid, epsabs=1e-12, epsrel=1e-12, limit=400)
     a2, _ = quad(lambda t: float(envelope(t)), mid, hi, epsabs=1e-12, epsrel=1e-12, limit=400)
     return a1 + a2
+
+
+def brentq_threshold_window(rise: float, fall: float, fwhm: float, thr: float):
+    """(on, off) offsets from the pulse centre where the unclamped unit erf
+    envelope crosses thr: each bracket grows outward from its half-maximum
+    point in steps of the edge's width, then brentq finds the crossing."""
+
+    def above(t):
+        up = erf((t + 0.5 * fwhm) * math.sqrt(math.pi) / rise) if rise > 0 else np.sign(t + 0.5 * fwhm)
+        down = erf((t - 0.5 * fwhm) * math.sqrt(math.pi) / fall) if fall > 0 else np.sign(t - 0.5 * fwhm)
+        return 0.5 * (up - down) - thr
+
+    def edge(half, width):
+        if width == 0:
+            return half
+        far = half
+        while above(far) > 0:
+            far += math.copysign(width, half)
+        return brentq(above, min(far, 0.0), max(far, 0.0), xtol=1e-15)
+
+    return edge(-0.5 * fwhm, rise), edge(0.5 * fwhm, fall)
 
 
 def brute_force_split(r: float, alpha0: float, n_total: int):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aokr.pulse_train import (
     PulseShapeParams,
@@ -11,8 +15,8 @@ from aokr.pulse_train import (
     single_train_spec,
     unit_pulse_area,
 )
-from aokr.pulse_train import _threshold_window
-from oracles import brute_force_split, envelope_area_quadrature
+from aokr.pulse_train import _raw_envelope, _threshold_window
+from oracles import brentq_threshold_window, brute_force_split, envelope_area_quadrature
 
 KBAR = 3.12
 
@@ -61,6 +65,60 @@ class TestEnvelope:
         assert pulse_envelope(0.0, 631.25, shape) == 631.25
         assert pulse_envelope(0.0079, 631.25, shape) == 631.25
         assert pulse_envelope(0.0081, 631.25, shape) == 0.0
+
+
+def random_shapes(seed, n, log_threshold):
+    """n shapes whose peak clears the threshold: FWHM log-uniform in [1e-4, 1],
+    rise and fall uniform in [0, 5 FWHM] (each exactly 0 one time in five),
+    threshold in [1e-6, 0.499], uniform or log-uniform."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    while len(shapes) < n:
+        fwhm = 10 ** rng.uniform(-4, 0)
+        rise, fall = np.where(rng.random(2) < 0.2, 0.0, rng.uniform(0, 5 * fwhm, 2))
+        if log_threshold:
+            thr = 10 ** rng.uniform(-6, math.log10(0.499))
+        else:
+            thr = rng.uniform(1e-6, 0.499)
+        shape = PulseShapeParams(float(rise), float(fall), fwhm, thr)
+        if _raw_envelope(0.0, shape) > thr:
+            shapes.append(shape)
+    return shapes
+
+
+class TestEdges:
+    def test_edges_match_brentq_oracle(self):
+        for shape in random_shapes(11, 300, log_threshold=False):
+            on, off = _threshold_window(shape)
+            ref_on, ref_off = brentq_threshold_window(
+                shape.rise_time, shape.fall_time, shape.fwhm, shape.on_threshold_fraction
+            )
+            assert abs(on - ref_on) <= 1e-14 and abs(off - ref_off) <= 1e-14, shape
+            if shape.rise_time == 0:
+                assert on == -0.5 * shape.fwhm
+            if shape.fall_time == 0:
+                assert off == 0.5 * shape.fwhm
+
+    def test_edges_are_the_envelopes_threshold_crossings(self):
+        # Down to thresholds of 1e-6 the computed envelope rounds in steps
+        # of about 1e-16, so its crossing is only defined to the float: the
+        # edge is on, and the next float outward is off.
+        for shape in random_shapes(12, 300, log_threshold=True):
+            if shape.rise_time == 0 or shape.fall_time == 0:
+                continue
+            thr = shape.on_threshold_fraction
+            on, off = _threshold_window(shape)
+            assert _raw_envelope(on, shape) > thr and _raw_envelope(off, shape) > thr, shape
+            assert _raw_envelope(np.nextafter(on, -np.inf), shape) <= thr, shape
+            assert _raw_envelope(np.nextafter(off, np.inf), shape) <= thr, shape
+
+    def test_edge_sharper_than_float_resolution(self):
+        shape = PulseShapeParams(1e-20, 1e-3, 0.01)
+        on, off = _threshold_window(shape)
+        assert on == -0.005
+        assert _raw_envelope(np.nextafter(off, np.inf), shape) <= 0.1 < _raw_envelope(off, shape)
+        sharp = PulseShapeParams(1e-320, 0.0, 0.01)
+        assert unit_pulse_area(sharp) == unit_pulse_area(PulseShapeParams.square(0.01))
 
 
 class TestNormalizeHeight:
@@ -201,6 +259,44 @@ class TestResolveTimeline:
         assert tl.n_res <= spec.n_total
         for a, b in zip(tl.pulses, tl.pulses[1:]):
             assert a.end <= b.start
+
+
+shapes = st.one_of(
+    st.builds(PulseShapeParams.square, st.floats(1e-3, 0.5)),
+    st.builds(
+        lambda rise, fall, fwhm, thr: PulseShapeParams(rise * fwhm, fall * fwhm, fwhm, thr),
+        st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        st.floats(1e-3, 0.5),
+        st.floats(1e-3, 0.45),
+    ).filter(lambda s: _raw_envelope(0.0, s) > s.on_threshold_fraction),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    r=st.floats(0.3, 3.0),
+    psi0_deg=st.floats(0.0, 359.9),
+    n_tot=st.integers(1, 40),
+    kappa1=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    kappa2=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    shape=shapes,
+    min_steps=st.integers(1, 40),
+)
+def test_resolved_timeline_properties(r, psi0_deg, n_tot, kappa1, kappa2, shape, min_steps):
+    spec = build_train_spec(r, psi0_deg / 360.0, n_tot, kappa1, kappa2, shape, KBAR)
+    tl = resolve_timeline(spec, min_steps)
+    on, off = _threshold_window(shape)
+    for a, b in zip(tl.pulses, tl.pulses[1:]):
+        assert a.start < a.end < b.start
+    expected = spec.n_first * kappa1 + spec.n_second * kappa2
+    assert sum(p.area for p in tl.pulses) == pytest.approx(expected, rel=1e-12)
+    for pulse in tl.pulses:
+        assert pulse.n_steps >= min_steps
+        # start and end are absolute times, so their difference carries the
+        # rounding of the larger one: allow one float spacing of it per step.
+        slack = np.spacing(max(abs(pulse.start), abs(pulse.end))) / pulse.n_steps
+        assert pulse.step <= (off - on) / min_steps * (1 + 1e-12) + slack
 
 
 class TestSpecValidation:

@@ -272,6 +272,23 @@ class TestOutputs:
 
 
 class TestCli:
+    def test_import_loads_no_heavy_scipy_subpackages(self):
+        import subprocess
+        import sys
+
+        import aokr
+
+        src = os.path.dirname(os.path.dirname(aokr.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, aokr.cli; print(*sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        heavy = {"scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.sparse"}
+        assert sorted(heavy.intersection(loaded)) == []
+
     def test_single_run(self, tmp_path, capsys):
         from aokr.cli import main
 
