@@ -6,7 +6,7 @@ sublevel, and alternates free streaming with exact pendulum steps over
 the piecewise-constant envelope grid.  Spontaneous emission adds a
 uniform recoil in [-kbar/2, kbar/2) with probability eta per constituent
 pulse, so a resultant pulse where two trains overlap makes two checks,
-as the area-scaled quantum decay does.
+as the quantum decay (eta per constituent pulse) does.
 
 _evolve_pulse_rows is the one pulse kernel: the chunked ensemble calls
 it on every row of a chunk, evolve_pulse on a single row.

@@ -2,9 +2,10 @@
 
 The classical rotor inside a pulse obeys H = rho^2/2 + k cos(phi), a
 pendulum whose flow has a closed-form solution in Jacobi elliptic
-functions.  scipy.special supplies the elliptic numerics: K(m) from
-ellipk, the incomplete integral F(phi | m) that inverts the initial
-condition from ellipkinc, and sn/cn/dn from ellipj.
+functions.  Librating rows (m = (E + k)/2k < 1, the stable fixed point
+at m = 0 included) run on modulus m and rotating rows on 1/m, all
+through one call each of scipy.special's ellipkinc (F(phi | m), which
+inverts the initial condition), ellipk (K(m)) and ellipj (sn/cn/dn).
 
 Within SEPARATRIX_TOL of the separatrix the closed form is not used.
 The Cephes ellipj behind scipy switches to an approximation for
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.special import ellipj, ellipk, ellipkinc
 
 # Energy window (relative to the separatrix energy) inside which the
-# closed-form branches are replaced by the stepped reference integrator.
+# closed form is replaced by the stepped reference integrator.
 # It must stay wider than the 1e-10 window where Cephes ellipj switches
 # to its m -> 1 approximation.
 SEPARATRIX_TOL = 1e-9
@@ -80,96 +81,54 @@ def _pendulum_reference_batch(phi, rho, k_rate, dtau):
 
 def _pendulum_step_arrays(phi, rho, k_rate, dtau):
     """Exact pendulum flow on arrays; see pendulum_step for the contract."""
-    phi, rho, k, dt = np.broadcast_arrays(
-        _as_float_array(phi),
-        _as_float_array(rho),
-        _as_float_array(k_rate),
-        _as_float_array(dtau),
-    )
-    phi = np.array(phi, dtype=float)
-    rho = np.array(rho, dtype=float)
-    k = np.array(k, dtype=float)
-    dt = np.array(dt, dtype=float)
-    out_phi = np.empty_like(phi)
-    out_rho = np.empty_like(rho)
-
+    phi, rho, k, dt = np.broadcast_arrays(*map(_as_float_array, (phi, rho, k_rate, dtau)))
     free = k <= 0.0
-    if np.any(free):
-        out_phi[free] = _wrap_angle(phi[free] + rho[free] * dt[free])
-        out_rho[free] = rho[free]
-
-    act = ~free
-    if not np.any(act):
-        return out_phi, out_rho
-
-    ph = phi[act]
-    rh = rho[act]
-    ka = k[act]
-    dta = dt[act]
-    theta = _wrap_angle(ph - np.pi)  # angle from the stable minimum
-    omega = np.sqrt(ka)
-    half = 0.5 * theta
-    # m_lib = sin^2(theta/2) + rho^2/(4k) = (E + k)/(2k), cancellation-free
-    m_lib = np.sin(half) ** 2 + rh**2 / (4.0 * ka)
-
-    res_phi = np.empty_like(ph)
-    res_rho = np.empty_like(rh)
-
-    near_sep = np.abs(m_lib - 1.0) <= SEPARATRIX_TOL
-    fixed = m_lib == 0.0
-    lib = (m_lib < 1.0) & ~near_sep & ~fixed
-    rot = (m_lib > 1.0) & ~near_sep
-
-    if np.any(fixed):
-        res_phi[fixed] = _wrap_angle(ph[fixed])
-        res_rho[fixed] = rh[fixed]
-
-    if np.any(lib):
-        m = m_lib[lib]
-        w = omega[lib]
+    # free rows (k = 0) run through the closed form as inf/nan and are
+    # replaced by free streaming at the end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = 0.5 * _wrap_angle(phi - np.pi)  # theta/2, theta from the stable minimum
+        w = np.sqrt(k)
+        # m_lib = sin^2(theta/2) + rho^2/(4k) = (E + k)/(2k), cancellation-free
+        m_lib = np.sin(half) ** 2 + rho**2 / (4.0 * k)
+        band = ~free & (np.abs(m_lib - 1.0) <= SEPARATRIX_TOL)
+        lib = m_lib < 1.0  # the stable fixed point (m = 0) librates in place
+        m = np.where(lib, m_lib, 1.0 / m_lib)
         root_m = np.sqrt(m)
-        # start amplitude from both sin(theta/2) and |rho|/(2 sqrt k): well conditioned as sn -> 1
-        u0 = ellipkinc(np.arctan2(np.sin(half[lib]), np.abs(rh[lib]) / (2.0 * w)), m)
+        neg = rho < 0.0
+        s = np.where(neg, -1.0, 1.0)
+        # libration start amplitude from both sin(theta/2) and |rho|/(2 sqrt k):
+        # well conditioned as sn -> 1; rotation starts from theta/2 itself
+        amp = np.where(lib, np.arctan2(np.sin(half), np.abs(rho) / (2.0 * w)), half)
+        u0 = ellipkinc(amp, m)
         K = ellipk(m)
-        neg = rh[lib] < 0.0
-        u0 = np.where(neg, 2.0 * K - u0, u0)
-        u1 = u0 + w * dta[lib]
-        period = 4.0 * K
-        u1 = u1 - period * np.floor(u1 / period)
-        sn1, cn1, _, _ = ellipj(u1, m)
-        theta1 = 2.0 * np.arcsin(np.clip(root_m * sn1, -1.0, 1.0))
-        res_phi[lib] = _wrap_angle(theta1 + np.pi)
-        res_rho[lib] = 2.0 * root_m * w * cn1
-
-    if np.any(rot):
-        m = 1.0 / m_lib[rot]
-        w = omega[rot]
-        rate = w / np.sqrt(m)  # = sqrt((E + k)/2)
-        s = np.where(rh[rot] < 0.0, -1.0, 1.0)
-        u0 = ellipkinc(half[rot], m)
-        u1 = u0 + s * rate * dta[rot]
-        K = ellipk(m)
+        u0 = np.where(lib & neg, 2.0 * K - u0, u0)
+        rate = np.where(lib, w, s * (w / root_m))  # rotation: sqrt((E + k)/2)
+        u1 = u0 + rate * dt
         period = 4.0 * K
         u1 = u1 - period * np.floor(u1 / period)
         sn1, cn1, dn1, _ = ellipj(u1, m)
-        res_phi[rot] = _wrap_angle(2.0 * np.arctan2(sn1, cn1) + np.pi)
-        res_rho[rot] = s * 2.0 * w / np.sqrt(m) * dn1
+        theta1 = np.where(
+            lib, 2.0 * np.arcsin(np.clip(root_m * sn1, -1.0, 1.0)), 2.0 * np.arctan2(sn1, cn1)
+        )
+        out_phi = np.where(free, _wrap_angle(phi + rho * dt), _wrap_angle(theta1 + np.pi))
+        out_rho = np.where(
+            free, rho, np.where(lib, 2.0 * root_m * w * cn1, s * 2.0 * w / root_m * dn1)
+        )
 
     # one solve per row: a shared adaptive step would make a row's result
     # depend on which rows share its chunk
-    for i in np.flatnonzero(near_sep):
-        res_phi[i], res_rho[i] = pendulum_step_reference(ph[i], rh[i], ka[i], dta[i])
-
-    out_phi[act] = res_phi
-    out_rho[act] = res_rho
+    for i in np.flatnonzero(band):
+        out_phi.flat[i], out_rho.flat[i] = pendulum_step_reference(
+            phi.flat[i], rho.flat[i], k.flat[i], dt.flat[i]
+        )
     return out_phi, out_rho
 
 
 def pendulum_step(phi, rho, k_rate, dtau):
     """Exact evolution of H = rho^2/2 + k_rate cos(phi) for duration dtau.
 
-    Selects the libration or rotation branch from the conserved pendulum
-    energy and evaluates the Jacobi-elliptic solution; phi is returned
+    Evaluates the Jacobi-elliptic solution on the modulus set by the
+    conserved pendulum energy (libration or rotation); phi is returned
     wrapped to [-pi, pi).  Within SEPARATRIX_TOL of the separatrix energy
     the stepped reference integrator is used instead, one row at a time.
     """

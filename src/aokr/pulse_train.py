@@ -158,14 +158,16 @@ def _raw_envelope(t_rel, shape: PulseShapeParams):
     t_rel = np.asarray(t_rel, dtype=float)
     t1 = -0.5 * shape.fwhm
     t2 = 0.5 * shape.fwhm
-    if shape.rise_time > 0:
-        up = erf((t_rel - t1) * math.sqrt(math.pi) / shape.rise_time)
-    else:
-        up = np.sign(t_rel - t1)
-    if shape.fall_time > 0:
-        down = erf((t_rel - t2) * math.sqrt(math.pi) / shape.fall_time)
-    else:
-        down = np.sign(t_rel - t2)
+    # a tiny rise or fall time sends the erf argument to +-inf: erf is then +-1
+    with np.errstate(over="ignore", divide="ignore"):
+        if shape.rise_time > 0:
+            up = erf((t_rel - t1) * math.sqrt(math.pi) / shape.rise_time)
+        else:
+            up = np.sign(t_rel - t1)
+        if shape.fall_time > 0:
+            down = erf((t_rel - t2) * math.sqrt(math.pi) / shape.fall_time)
+        else:
+            down = np.sign(t_rel - t2)
     return 0.5 * (up - down)
 
 
@@ -176,7 +178,8 @@ def _erf_antiderivative(x, delta):
     c = math.sqrt(math.pi) / delta if delta > 0 else math.inf
     if c == math.inf:
         return np.abs(x)
-    return x * erf(c * x) + (delta / math.pi) * np.exp(-((c * x) ** 2))
+    with np.errstate(over="ignore", divide="ignore"):  # exp(-inf) = 0
+        return x * erf(c * x) + (delta / math.pi) * np.exp(-((c * x) ** 2))
 
 
 def _window_area(shape: PulseShapeParams, a: float, b: float) -> float:
@@ -295,7 +298,6 @@ class ResultantPulse:
 class ResolvedTimeline:
     """The two trains as time-ordered, disjoint resultant pulses with step grids."""
 
-    spec: TwoFreqTrainSpec
     pulses: tuple
 
     @property
@@ -356,7 +358,7 @@ def resolve_timeline(
             )
         )
 
-    return ResolvedTimeline(spec=spec, pulses=tuple(pulses))
+    return ResolvedTimeline(pulses=tuple(pulses))
 
 
 def single_train_spec(

@@ -9,9 +9,9 @@ squared norm falls below a pre-drawn uniform threshold the trajectory
 takes a jump: a uniform recoil in [-kbar/2, kbar/2) is added to the
 quasimomentum (re-folded into the first zone with a compensating ladder
 shift), the state is renormalised and a new threshold is drawn.  Norms
-are checked at the end of each resultant pulse.  The decay scales with
-pulse area, so a pulse where two trains overlap emits about twice as
-often, as the classical engine's one check per constituent pulse does.
+are checked at the end of each resultant pulse.  The decay emits with
+probability about eta per constituent pulse whatever the kick strengths,
+as the classical engine's one check per constituent pulse does.
 Observables are equal-weight averages over trajectories.
 
 The split step (_pulse_rows), the free phases (_free_phases) and the
@@ -228,23 +228,6 @@ class QuantumEnsembleResult:
     jump_counts: np.ndarray
 
 
-def _decay_rate(params: EnsembleParams, timeline: ResolvedTimeline) -> float:
-    """eta_rate making the per-pulse emission probability equal eta.
-
-    Normalised against the reference single-pulse area (kappa of train 1,
-    falling back to train 2).  The decay does not scale with a
-    trajectory's kick factor, so the probability stays at eta for every
-    trajectory; overlap-doubled pulses decay proportionally more.
-    """
-    if params.eta_per_pulse == 0:
-        return 0.0
-    spec = timeline.spec
-    kappa_ref = spec.kappa1 if spec.kappa1 > 0 else spec.kappa2
-    if kappa_ref <= 0:
-        return 0.0
-    return params.eta_per_pulse / kappa_ref
-
-
 def _quantum_chunk(job):
     """Evolve quantum trajectories lo..hi-1.
 
@@ -265,13 +248,14 @@ def _quantum_chunk(job):
         index, q[i] = _ladder_start(rho0, kbar, n_max)
         psi[i, index] = 1.0
 
-    decay_scale = 0.5 * _decay_rate(params, timeline)
     jump_counts = np.zeros(n_rows, dtype=int)
 
     prev_end = None
     for p_idx, pulse in enumerate(timeline.pulses):
         if prev_end is not None:
             psi *= _free_phases(q, kbar, psi.shape[1], pulse.start - prev_end)
+        # eta per constituent pulse, for any kick strength and kick factor
+        decay_scale = 0.5 * params.eta_per_pulse * pulse.n_constituents / pulse.area
         _pulse_rows(psi, q, kf, decay_scale, pulse.k_mid, pulse.step, kbar)
         norms2 = _norms_sq(psi)
         for i in np.flatnonzero(norms2 < thresholds):

@@ -113,6 +113,38 @@ class TestPendulumStep:
         p3, r3 = pendulum_step(phi[::2], rho[::2], k[::2], dt[::2])
         assert np.array_equal(p3, p1[::2]) and np.array_equal(r3, r1[::2])
 
+    def test_mixed_batch_matches_one_row_calls(self):
+        # one call holding every kind of row, each with both signs of rho:
+        # free (k = 0), the exact stable fixed point, libration, rotation
+        # and both sides of the separatrix band (at phi = -pi, m = rho^2/4k)
+        rng = np.random.default_rng(808)
+        k = 40.0
+        edge = 2.0 * np.sqrt(k)
+        rows = []
+        for sign in (1.0, -1.0):
+            free_starts = zip(rng.uniform(-np.pi, np.pi, 4), rng.uniform(0, 30, 4))
+            rows += [(p, sign * r, 0.0) for p, r in free_starts]
+            rows += [(-np.pi, sign * 0.0, k), (np.pi, sign * 0.0, k)]
+            rows += [(p, sign * 1.0, k) for p in rng.uniform(-np.pi, -2.0, 4)]  # libration
+            rows += [(p, sign * 30.0, k) for p in rng.uniform(-np.pi, np.pi, 4)]  # rotation
+            rows += [(-np.pi, sign * edge * (1.0 + g), k) for g in (-1e-11, 1e-11, -4e-10, 4e-10)]
+        phi, rho, k_rate = np.array(rows).T
+        dt = rng.uniform(1e-4, 2e-2, phi.size)
+        p, r = pendulum_step(phi, rho, k_rate, dt)
+        for i in range(phi.size):
+            row = slice(i, i + 1)
+            p1, r1 = pendulum_step(phi[row], rho[row], k_rate[row], dt[row])
+            assert p[row].tobytes() == p1.tobytes() and r[row].tobytes() == r1.tobytes(), i
+        free = k_rate == 0.0
+        assert _wrap_angle(phi + rho * dt)[free].tobytes() == p[free].tobytes()
+        assert rho[free].tobytes() == r[free].tobytes()
+        fixed = (k_rate > 0) & (rho == 0.0)
+        assert np.all(p[fixed] == -np.pi) and np.all(r[fixed] == 0.0)
+        band = np.abs(np.abs(rho) / edge - 1.0) < 1e-9
+        assert np.count_nonzero(band) == 8
+        for i in np.flatnonzero(band):
+            assert (p[i], r[i]) == pendulum_step_reference(phi[i], rho[i], k_rate[i], dt[i])
+
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
             pendulum_step(0.0, 0.0, -1.0, 0.1)

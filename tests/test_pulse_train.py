@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ class TestEdges:
         assert _raw_envelope(np.nextafter(off, np.inf), shape) <= 0.1 < _raw_envelope(off, shape)
         sharp = PulseShapeParams(1e-320, 0.0, 0.01)
         assert unit_pulse_area(sharp) == unit_pulse_area(PulseShapeParams.square(0.01))
+
+    def test_tiny_edges_evaluate_without_warnings(self):
+        # the erf arguments overflow to +-inf, which gives the right values;
+        # numpy must not warn about it on every evaluation
+        square = PulseShapeParams.square(0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for edge in (1e-300, 1e-310):
+                shape = PulseShapeParams(edge, edge, 0.01)
+                assert unit_pulse_area(shape) == unit_pulse_area(square)
+                t = np.array([-0.004, 0.0, 0.004, 0.006])
+                assert pulse_envelope(t, 2.0, shape).tolist() == [2.0, 2.0, 2.0, 0.0]
 
 
 class TestNormalizeHeight:

@@ -281,6 +281,21 @@ class TestEnsemble:
         assert low > 0
         assert high > 0
 
+    def test_emission_rate_is_eta_per_constituent_pulse(self):
+        # eta is the emission probability per constituent pulse, as in the
+        # classical engine: doubling train 2's kick strength must not make
+        # its pulses emit more often
+        shape = PulseShapeParams.from_physical_ns(104.0, 121.0, 396.0, 30.0)
+        params = params_with(eta_per_pulse=0.1, rng_seed=3)
+        jumps = []
+        for kappa2 in (10.1, 20.2):
+            spec = build_train_spec(np.sqrt(2.0), 30.0 / 360.0, 10, 10.1, kappa2, shape, KBAR)
+            tl = resolve_timeline(spec)
+            jumps.append(run_mcwf_trajectories(tl, params, 400, n_max=128).jump_counts)
+        same, doubled = jumps
+        se = np.hypot(*(j.std(ddof=1) / np.sqrt(j.size) for j in jumps))
+        assert abs(doubled.mean() - same.mean()) < 3 * se
+
     def test_grid_overflow_detected(self):
         # small-kbar diffusion on a deliberately tight grid must trip the
         # boundary guard instead of aliasing silently
