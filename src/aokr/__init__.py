@@ -39,7 +39,6 @@ from .pulse_train import (
 )
 from .quantum_sim import (
     GridOverflowError,
-    JumpRecord,
     QuantumEnsembleResult,
     Wavefunction,
     free_propagate,
@@ -56,7 +55,6 @@ __all__ = [
     "ClassicalState",
     "EnsembleParams",
     "GridOverflowError",
-    "JumpRecord",
     "LineshapeReport",
     "MomentumDistribution",
     "PulseShapeParams",

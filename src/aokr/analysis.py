@@ -18,8 +18,8 @@ LINESHAPE_UNDETERMINED = "undetermined"
 
 DEFAULT_BIN_WIDTH = 0.5
 DEFAULT_EPSILON = 1.0
-DEFAULT_FIT_MARGIN = 1.2
-DEFAULT_FIT_FLOOR = 1e-4
+FIT_MARGIN = 1.2
+FIT_FLOOR = 1e-4
 
 
 def momentum_bin_grid(bin_width: float, half_range: float):
@@ -149,22 +149,18 @@ class LineshapeReport:
     fitted_width: float
 
 
-def classify_lineshape(
-    dist: MomentumDistribution,
-    margin: float = DEFAULT_FIT_MARGIN,
-    floor_fraction: float = DEFAULT_FIT_FLOOR,
-) -> LineshapeReport:
+def classify_lineshape(dist: MomentumDistribution) -> LineshapeReport:
     """Fit log-density linear in |n| (exponential) and in n^2 (Gaussian).
 
-    Both fits run over bins above floor_fraction of the peak; the class is
-    decided only when one RMS residual beats the other by the margin
-    factor.  Scale-invariant: rescaling masses shifts only the intercepts.
+    Both fits run over bins above FIT_FLOOR of the peak; the class is
+    decided only when one RMS residual beats the other by the factor
+    FIT_MARGIN.  Scale-invariant: rescaling masses shifts only the intercepts.
     """
     nonempty = dist.masses > 0
     if int(nonempty.sum()) < 20:
         raise ValueError("lineshape fit needs at least 20 nonempty bins")
     peak = dist.masses.max()
-    mask = nonempty & (dist.masses >= floor_fraction * peak)
+    mask = nonempty & (dist.masses >= FIT_FLOOR * peak)
     n = dist.bin_centers[mask]
     y = np.log(dist.masses[mask])
 
@@ -180,9 +176,9 @@ def classify_lineshape(
     # the tiny floor keeps machine-noise residuals (both fits "perfect",
     # e.g. a flat distribution) from producing a spurious verdict
     tiny = 1e-12
-    if (resid_exp + tiny) * margin < resid_gauss + tiny:
+    if (resid_exp + tiny) * FIT_MARGIN < resid_gauss + tiny:
         cls = LINESHAPE_EXPONENTIAL
-    elif (resid_gauss + tiny) * margin < resid_exp + tiny:
+    elif (resid_gauss + tiny) * FIT_MARGIN < resid_exp + tiny:
         cls = LINESHAPE_GAUSSIAN
     else:
         cls = LINESHAPE_UNDETERMINED

@@ -21,7 +21,7 @@ from .constants import thermal_sigma_recoils
 from .elliptic import _pendulum_step_arrays, _wrap_angle
 from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
-from .streams import ENGINE_CLASSICAL, trajectory_stream
+from .streams import ENGINE_CLASSICAL, draw_emission_pairs, trajectory_streams
 
 DEFAULT_CHUNK_SIZE = 1024
 
@@ -113,19 +113,6 @@ def sample_initial_classical(params: EnsembleParams, rng) -> ClassicalState:
     return ClassicalState(phi=phi, rho=rho, kick_factor=kick_factor)
 
 
-def _draw_emissions(rng, n_checks: int, kbar: float):
-    """Triggers and recoils of n_checks emission checks.
-
-    Each check draws its pair in turn: a trigger uniform in [0, 1), then a
-    recoil uniform in [-kbar/2, kbar/2), the values rng.random() and
-    rng.uniform(-kbar/2, kbar/2) would give.  Both are always drawn so
-    that a trajectory's stream position does not depend on whether an
-    emission fires.
-    """
-    u = rng.random(2 * n_checks)
-    return u[0::2], -0.5 * kbar + kbar * u[1::2]
-
-
 def _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils):
     """Evolve rows of (phi, rho) through one resultant pulse.
 
@@ -146,7 +133,7 @@ def _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils):
 def evolve_pulse(state: ClassicalState, pulse, rng, params: EnsembleParams) -> ClassicalState:
     """Propagate one trajectory through one resultant pulse (a one-row
     _evolve_pulse_rows); its emission draws come from rng."""
-    triggers, recoils = _draw_emissions(rng, pulse.n_constituents, params.kbar)
+    triggers, recoils = draw_emission_pairs(rng, pulse.n_constituents, params.kbar)
     phi, rho, kf = np.array([[state.phi], [state.rho], [state.kick_factor]])
     fire = triggers[None, :] < params.eta_per_pulse
     phi, rho = _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils[None, :])
@@ -159,13 +146,12 @@ def _classical_chunk(job):
     n = hi - lo
     n_checks = sum(p.n_constituents for p in timeline.pulses)
     phi, rho, kf = np.empty((3, n))
-    triggers = np.empty((n, n_checks))
-    recoils = np.empty((n, n_checks))
-    for i in range(n):
-        s = trajectory_stream(params.rng_seed, sweep_index, ENGINE_CLASSICAL, lo + i)
+    triggers, recoils = np.empty((2, n, n_checks))
+    streams = trajectory_streams(params.rng_seed, sweep_index, ENGINE_CLASSICAL, range(lo, hi))
+    for i, s in enumerate(streams):
         st = sample_initial_classical(params, s)
         phi[i], rho[i], kf[i] = st.phi, st.rho, st.kick_factor
-        triggers[i], recoils[i] = _draw_emissions(s, n_checks, params.kbar)
+        triggers[i], recoils[i] = draw_emission_pairs(s, n_checks, params.kbar)
 
     fire = triggers < params.eta_per_pulse
     cursor = 0

@@ -4,15 +4,17 @@ A trajectory is a plane-wave ladder state |n kbar + q> evolved by
 split-step Fourier propagation: free phases are diagonal in momentum,
 the pulse potential k(tau) cos(phi) is diagonal on the position grid,
 and spontaneous emission enters as the non-Hermitian decay
-exp(-k dtau (eta_rate/2)(1 + cos phi)) that shrinks the norm.  When the
-squared norm falls below a pre-drawn uniform threshold the trajectory
-takes a jump: a uniform recoil in [-kbar/2, kbar/2) is added to the
-quasimomentum (re-folded into the first zone with a compensating ladder
-shift), the state is renormalised and a new threshold is drawn.  Norms
-are checked at the end of each resultant pulse.  The decay emits with
-probability about eta per constituent pulse whatever the kick strengths,
-as the classical engine's one check per constituent pulse does.
-Observables are equal-weight averages over trajectories.
+exp(-k dtau (eta_rate/2)(1 + cos phi)) that shrinks the norm.  As in
+the classical engine, a trajectory draws everything up front: its start
+state, then (norm threshold, recoil) pairs (streams.draw_emission_pairs);
+pair k holds the threshold in force after k jumps and the recoil of jump
+k + 1.  Norms are checked at the end of each resultant pulse; below the
+threshold the trajectory jumps: the recoil, uniform in [-kbar/2, kbar/2),
+is added to the quasimomentum (re-folded into the first zone with a
+compensating ladder shift) and the state is renormalised.  The decay
+emits with probability about eta per constituent pulse whatever the kick
+strengths, as the classical engine's one check per constituent pulse
+does.  Observables are equal-weight averages over trajectories.
 
 The split step (_pulse_rows), the free phases (_free_phases) and the
 jump (_jump) each have one implementation: the chunked ensemble applies
@@ -20,6 +22,7 @@ them to every row of a chunk, and kick_step, free_propagate and
 mcwf_check_jump to a single row.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +32,7 @@ from .analysis import MomentumDistribution, bin_momenta, momentum_bin_grid
 from .classical_sim import EnsembleParams, draw_momentum_and_kick_factor
 from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
-from .streams import ENGINE_QUANTUM, trajectory_stream
+from .streams import ENGINE_QUANTUM, draw_emission_pairs, trajectory_streams
 
 DEFAULT_N_MAX = 1024
 DEFAULT_CHUNK_SIZE = 128
@@ -158,15 +161,6 @@ class Wavefunction:
         return float(_energies(*self._row(), self.kbar)[0][0])
 
 
-@dataclass(frozen=True)
-class JumpRecord:
-    """One spontaneous-emission jump: when it fired and the recoil taken."""
-
-    pulse_index: int
-    pre_jump_norm_sq: float
-    recoil: float
-
-
 def init_wavefunction(n_max: int, initial_momentum: float, kbar: float) -> Wavefunction:
     """Single ladder state nearest to initial_momentum; the remainder is q.
 
@@ -201,22 +195,17 @@ def kick_step(psi: Wavefunction, k_rate: float, eta_rate: float, dtau: float) ->
     return Wavefunction(c=c[0], q=psi.q, kbar=psi.kbar)
 
 
-def mcwf_check_jump(psi: Wavefunction, threshold: float, rng, pulse_index: int = -1):
-    """Take a quantum jump (see _jump) if the squared norm has fallen below
-    threshold, with a recoil u uniform in [-kbar/2, kbar/2) drawn from rng.
+def mcwf_check_jump(psi: Wavefunction, threshold: float, u: float):
+    """Take a quantum jump with recoil u (see _jump) if the squared norm
+    has fallen below threshold.
 
-    Returns (psi', JumpRecord or None); the caller draws a fresh
-    threshold after a jump.
+    Returns (psi', jumped); after a jump the caller moves on to its next
+    threshold and recoil.
     """
-    n2 = psi.norm_sq()
-    if n2 >= threshold:
-        return psi, None
-    u = rng.uniform(-0.5 * psi.kbar, 0.5 * psi.kbar)
+    if psi.norm_sq() >= threshold:
+        return psi, False
     c, q = _jump(psi.c, psi.q, u, psi.kbar)
-    return (
-        Wavefunction(c=c, q=q, kbar=psi.kbar),
-        JumpRecord(pulse_index=pulse_index, pre_jump_norm_sq=n2, recoil=float(u)),
-    )
+    return Wavefunction(c=c, q=q, kbar=psi.kbar), True
 
 
 @dataclass(frozen=True)
@@ -231,23 +220,24 @@ class QuantumEnsembleResult:
 def _quantum_chunk(job):
     """Evolve quantum trajectories lo..hi-1.
 
-    Returns (per-trajectory energies, the rows' summed momentum histogram
-    on momentum_bin_grid(bin_width, n_max + 1), per-trajectory jump counts).
+    Returns their energies, normalised populations (rows in FFT order),
+    quasimomenta q and jump counts.
     """
-    timeline, params, sweep_index, lo, hi, n_max, bin_width = job
+    timeline, params, sweep_index, lo, hi, n_max = job
     n_rows = hi - lo
     kbar = params.kbar
-    streams = [
-        trajectory_stream(params.rng_seed, sweep_index, ENGINE_QUANTUM, i) for i in range(lo, hi)
-    ]
-    q, kf, thresholds = np.empty((3, n_rows))
+    n_pairs = timeline.n_res + 1  # at most one jump per resultant pulse
+    q, kf = np.empty((2, n_rows))
+    thresholds, recoils = np.empty((2, n_rows, n_pairs))
     psi = np.zeros((n_rows, 2 * n_max), dtype=np.complex128)
+    streams = trajectory_streams(params.rng_seed, sweep_index, ENGINE_QUANTUM, range(lo, hi))
     for i, s in enumerate(streams):
         rho0, kf[i] = draw_momentum_and_kick_factor(params, s)
-        thresholds[i] = s.random()
+        thresholds[i], recoils[i] = draw_emission_pairs(s, n_pairs, kbar)
         index, q[i] = _ladder_start(rho0, kbar, n_max)
         psi[i, index] = 1.0
 
+    rows = np.arange(n_rows)
     jump_counts = np.zeros(n_rows, dtype=int)
 
     prev_end = None
@@ -258,11 +248,9 @@ def _quantum_chunk(job):
         decay_scale = 0.5 * params.eta_per_pulse * pulse.n_constituents / pulse.area
         _pulse_rows(psi, q, kf, decay_scale, pulse.k_mid, pulse.step, kbar)
         norms2 = _norms_sq(psi)
-        for i in np.flatnonzero(norms2 < thresholds):
-            s = streams[i]
-            psi[i], q[i] = _jump(psi[i], q[i], s.uniform(-0.5 * kbar, 0.5 * kbar), kbar)
+        for i in np.flatnonzero(norms2 < thresholds[rows, jump_counts]):
+            psi[i], q[i] = _jump(psi[i], q[i], recoils[i, jump_counts[i]], kbar)
             norms2[i] = 1.0
-            thresholds[i] = s.random()
             jump_counts[i] += 1
         rel = np.abs(psi[:, n_max - 1 : n_max + 1]).max(axis=1) ** 2 / norms2
         if np.any(rel >= BOUNDARY_OCCUPATION_LIMIT):
@@ -273,9 +261,8 @@ def _quantum_chunk(job):
             )
         prev_end = pulse.end
 
-    energies, weights, momenta = _energies(psi, q, kbar)
-    _, hist_sum = bin_momenta(momenta, bin_width, n_max + 1.0, weights)
-    return energies, hist_sum, jump_counts
+    energies, weights, _ = _energies(psi, q, kbar)
+    return energies, weights, q, jump_counts
 
 
 def run_mcwf_trajectories(
@@ -291,19 +278,24 @@ def run_mcwf_trajectories(
 ) -> QuantumEnsembleResult:
     """Run a quantum trajectory ensemble and average it incoherently.
 
-    Deterministic for fixed (rng_seed, sweep_index) regardless of worker
-    count; see run_classical_ensemble for the chunking scheme.  The chunk
-    histograms are added in chunk order.
+    Bit-identical for fixed (rng_seed, sweep_index) regardless of
+    n_workers and chunk_size: trajectory i draws everything up front from
+    its own stream (see run_classical_ensemble for the chunking scheme),
+    and the momentum histogram on momentum_bin_grid(bin_width, n_max + 1)
+    adds the rows' populations one at a time in trajectory order.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     jobs = [
-        (timeline, params, sweep_index, lo, hi, n_max, bin_width)
-        for lo, hi in chunk_bounds(n_traj, chunk_size)
+        (timeline, params, sweep_index, lo, hi, n_max) for lo, hi in chunk_bounds(n_traj, chunk_size)
     ]
-    energies, hists, jump_counts = zip(*chunked_map(_quantum_chunk, jobs, n_workers))
+    energies, weights, q, jump_counts = zip(*chunked_map(_quantum_chunk, jobs, n_workers))
+    n = _grids(2 * n_max)[0]
     centers, _ = momentum_bin_grid(bin_width, n_max + 1.0)
-    dist = MomentumDistribution(bin_centers=centers, masses=sum(hists) / n_traj)
+    masses = np.zeros(len(centers))
+    for w, q_i in zip(itertools.chain(*weights), np.concatenate(q)):
+        masses += bin_momenta(n + q_i / params.kbar, bin_width, n_max + 1.0, w)[1]
+    dist = MomentumDistribution(bin_centers=centers, masses=masses / n_traj)
     return QuantumEnsembleResult(
         distribution=dist,
         energies=np.concatenate(energies),

@@ -19,3 +19,30 @@ def trajectory_stream(seed: int, sweep_index: int, engine_id: int, traj_index: i
     key = np.array([seed & _MASK64, sweep_index & _MASK64], dtype=np.uint64)
     counter = np.array([0, engine_id & _MASK64, traj_index & _MASK64, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def trajectory_streams(seed: int, sweep_index: int, engine_id: int, traj_indices):
+    """Yield the stream of each trajectory in traj_indices, in order.
+
+    One Philox is re-keyed per trajectory (its fresh state with the
+    trajectory's counter), several times cheaper than a new Generator.
+    The same Generator is yielded each time: it is valid until the next.
+    """
+    rng = trajectory_stream(seed, sweep_index, engine_id, 0)
+    state = rng.bit_generator.state
+    for i in traj_indices:
+        state["state"]["counter"][2] = i & _MASK64
+        rng.bit_generator.state = state
+        yield rng
+
+
+def draw_emission_pairs(rng, n_pairs: int, kbar: float):
+    """n_pairs (uniform in [0, 1), recoil uniform in [-kbar/2, kbar/2)) pairs,
+    each drawn in turn as rng.random() then rng.uniform(-kbar/2, kbar/2).
+
+    The classical engine reads a pair's uniform as an emission trigger,
+    the quantum engine as a norm threshold.  Drawn up front, so a stream's
+    position does not depend on whether it emits.  Returns (uniforms, recoils).
+    """
+    u = rng.random(2 * n_pairs)
+    return u[0::2], -0.5 * kbar + kbar * u[1::2]

@@ -33,27 +33,29 @@ def params_with(**kw):
     return EnsembleParams(**defaults)
 
 
-def scalar_run(psi, timeline):
-    """Evolve one wavefunction through the timeline with kick_step and
-    free_propagate, eta = 0."""
+def scalar_run(psi, timeline, eta=0.0, stream=None):
+    """Evolve one wavefunction through the timeline with kick_step,
+    free_propagate and mcwf_check_jump, eta per constituent pulse.
+
+    Jumps read stream lazily, in the order the engine reads its up-front
+    pairs: a threshold, then per jump its recoil and the next threshold.
+    Without a stream nothing jumps.  Returns (psi, jumps).
+    """
+    threshold = stream.random() if stream is not None else 0.0
+    jumps = 0
     prev_end = None
     for pulse in timeline.pulses:
         if prev_end is not None:
             psi = free_propagate(psi, pulse.start - prev_end)
+        eta_rate = eta * pulse.n_constituents / pulse.area
         for k in pulse.k_mid:
-            psi = kick_step(psi, k, 0.0, pulse.step)
+            psi = kick_step(psi, k, eta_rate, pulse.step)
+        if psi.norm_sq() < threshold:  # the recoil is drawn only on a jump
+            psi, jumped = mcwf_check_jump(psi, threshold, stream.uniform(-KBAR / 2, KBAR / 2))
+            assert jumped
+            threshold, jumps = stream.random(), jumps + 1
         prev_end = pulse.end
-    return psi
-
-
-class FixedUniform:
-    """rng stub returning a preset value from uniform()."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def uniform(self, lo, hi):
-        return self.value
+    return psi, jumps
 
 
 class TestInit:
@@ -143,8 +145,8 @@ class TestKickStep:
 class TestJump:
     def test_no_jump_above_threshold(self):
         psi = init_wavefunction(128, 0.0, KBAR)
-        out, record = mcwf_check_jump(psi, 0.3, FixedUniform(0.0))
-        assert record is None
+        out, jumped = mcwf_check_jump(psi, 0.3, 0.0)
+        assert not jumped
         assert out is psi
 
     def test_fold_and_expectation_shift(self):
@@ -152,10 +154,8 @@ class TestJump:
         shrunk = Wavefunction(c=base.c * 0.6, q=base.q, kbar=KBAR)
         u = 0.3 * KBAR  # q + u = 0.7 kbar folds to -0.3 kbar with ladder shift +1
         before = shrunk.momentum_expectation()
-        out, record = mcwf_check_jump(shrunk, 0.5, FixedUniform(u), pulse_index=4)
-        assert record is not None
-        assert record.pulse_index == 4
-        assert record.recoil == u
+        out, jumped = mcwf_check_jump(shrunk, 0.5, u)
+        assert jumped
         assert out.q == pytest.approx(-0.3 * KBAR)
         assert -KBAR / 2 <= out.q < KBAR / 2
         assert out.momentum_expectation() - before == pytest.approx(u, abs=1e-10)
@@ -233,7 +233,27 @@ class TestBatchKernel:
         for i in range(n_traj):
             stream = trajectory_stream(params.rng_seed, 0, ENGINE_QUANTUM, i)
             rho0, _ = draw_momentum_and_kick_factor(params, stream)
-            psi = scalar_run(init_wavefunction(n_max, rho0, KBAR), tl)
+            psi, _ = scalar_run(init_wavefunction(n_max, rho0, KBAR), tl)
+            assert abs(result.energies[i] - psi.energy_recoils()) < 1e-10
+
+    def test_matches_lazy_stream_route_with_jumps_on_overlapped_timeline(self):
+        # r = 1, psi0 = 0: every resultant pulse has two constituents, and
+        # at eta = 0.3 the rows jump.  Each trajectory's own stream read
+        # lazily, as the jumps come, must give the ensemble's up-front
+        # pairs: pair k is the threshold after k jumps and the recoil of
+        # jump k + 1.  Chunks of 3 put jumping rows beside others.
+        shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
+        tl = resolve_timeline(build_train_spec(1.0, 0.0, 6, 10.1, 10.1, shape, KBAR))
+        assert all(p.n_constituents == 2 for p in tl.pulses)
+        eta, n_traj, n_max = 0.3, 8, 128
+        params = params_with(eta_per_pulse=eta, rng_seed=1)
+        result = run_mcwf_trajectories(tl, params, n_traj, n_max=n_max, chunk_size=3)
+        assert result.jump_counts.max() >= 2  # pairs past the first are read
+        for i in range(n_traj):
+            stream = trajectory_stream(params.rng_seed, 0, ENGINE_QUANTUM, i)
+            rho0, _ = draw_momentum_and_kick_factor(params, stream)
+            psi, jumps = scalar_run(init_wavefunction(n_max, rho0, KBAR), tl, eta, stream)
+            assert result.jump_counts[i] == jumps
             assert abs(result.energies[i] - psi.energy_recoils()) < 1e-10
 
 
@@ -257,16 +277,16 @@ class TestEnsemble:
         assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.distribution.masses, b.distribution.masses)
         assert np.array_equal(a.jump_counts, b.jump_counts)
-        # a row's result does not depend on which rows share its chunk; the
-        # masses sum chunk histograms in chunk order, so they move in the
-        # last bits
+        # a row's result does not depend on which rows share its chunk, and
+        # the histogram adds the rows one at a time in trajectory order, not
+        # per chunk, so the masses are bit-identical too
         for chunk_size in (1, 7, 96):
             c = run_mcwf_trajectories(tl, params, 96, n_max=128, chunk_size=chunk_size)
             assert np.array_equal(c.energies, a.energies), f"chunk_size={chunk_size}"
             assert np.array_equal(c.jump_counts, a.jump_counts), f"chunk_size={chunk_size}"
-            np.testing.assert_allclose(
-                c.distribution.masses, a.distribution.masses, rtol=0, atol=1e-15
-            )
+            assert np.array_equal(
+                c.distribution.masses, a.distribution.masses
+            ), f"chunk_size={chunk_size}"
 
     def test_both_histogram_tails_keep_their_mass(self):
         # the populations far out on either side are ~1e-31; binning must
@@ -309,7 +329,7 @@ class TestEnsemble:
     def test_unitary_norm_drift_100_kicks(self):
         spec = single_train_spec(100, 10.1, PulseShapeParams.square(0.016), KBAR)
         tl = resolve_timeline(spec)
-        psi = scalar_run(init_wavefunction(1024, 0.1 * KBAR, KBAR), tl)
+        psi, _ = scalar_run(init_wavefunction(1024, 0.1 * KBAR, KBAR), tl)
         assert abs(psi.norm_sq() - 1.0) < 1e-10
 
     def test_quantum_classical_correspondence_small_kbar(self):
