@@ -1,20 +1,22 @@
 """Monte Carlo wavefunction propagation on a momentum ladder.
 
-A trajectory is a plane-wave ladder state |n kbar + q> evolved by
-split-step Fourier propagation: free phases are diagonal in momentum,
-the pulse potential k(tau) cos(phi) is diagonal on the position grid,
-and spontaneous emission enters as the non-Hermitian decay
-exp(-k dtau (eta_rate/2)(1 + cos phi)) that shrinks the norm.  As in
-the classical engine, a trajectory draws everything up front: its start
-state, then (norm threshold, recoil) pairs (streams.draw_emission_pairs);
-pair k holds the threshold in force after k jumps and the recoil of jump
-k + 1.  Norms are checked at the end of each resultant pulse; below the
-threshold the trajectory jumps: the recoil, uniform in [-kbar/2, kbar/2),
-is added to the quasimomentum (re-folded into the first zone with a
-compensating ladder shift) and the state is renormalised.  The decay
-emits with probability about eta per constituent pulse whatever the kick
-strengths, as the classical engine's one check per constituent pulse
-does.  Observables are equal-weight averages over trajectories.
+A trajectory is a ladder of plane waves |n kbar + q>, n in
+[-n_max, n_max), with one continuous momentum offset q; it starts with
+all its amplitude at n = 0 and q at its thermal start momentum.  It is
+evolved by split-step Fourier propagation: free phases are diagonal in
+momentum, the pulse potential k(tau) cos(phi) is diagonal on the
+position grid and couples n only to n +- 1, and spontaneous emission
+enters as the non-Hermitian decay exp(-k dtau (eta_rate/2)(1 + cos phi))
+that shrinks the norm.  As in the classical engine, a trajectory draws
+everything up front: its start momentum, then (norm threshold, recoil)
+pairs (streams.draw_emission_pairs); pair k holds the threshold in force
+after k jumps and the recoil of jump k + 1.  Norms are checked at the
+end of each resultant pulse; below the threshold the trajectory jumps:
+the recoil, uniform in [-kbar/2, kbar/2), is added to q and the state is
+renormalised.  The decay emits with probability about eta per
+constituent pulse whatever the kick strengths, as the classical engine's
+one check per constituent pulse does.  Observables are equal-weight
+averages over trajectories.
 
 The split step (_pulse_rows), the free phases (_free_phases) and the
 jump (_jump) each have one implementation: the chunked ensemble applies
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import MomentumDistribution, bin_momenta, momentum_bin_grid
+from .analysis import DEFAULT_BIN_WIDTH, MomentumDistribution, bin_momenta, momentum_bin_grid
 from .classical_sim import EnsembleParams, draw_momentum_and_kick_factor
 from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
@@ -40,7 +42,8 @@ BOUNDARY_OCCUPATION_LIMIT = 1e-8
 
 
 class GridOverflowError(ValueError):
-    """Momentum population reached the edge of the ladder grid."""
+    """Population reached the edge of a row's ladder window, where the
+    position grid starts to alias."""
 
 
 @lru_cache(maxsize=8)
@@ -53,20 +56,10 @@ def _grids(size: int):
     return n, cos_phi
 
 
-def _ladder_start(rho0: float, kbar: float, n_max: int):
-    """Ladder state nearest to rho0 as (FFT index, remainder q).
-
-    n_max must be a power of two (grid size 2*n_max is FFT-friendly).
-    """
+def _check_n_max(n_max: int):
+    """n_max must be a power of two >= 64 (grid size 2*n_max is FFT-friendly)."""
     if n_max < 64 or (n_max & (n_max - 1)) != 0:
         raise ValueError(f"n_max must be a power of two >= 64, got {n_max}")
-    n0 = int(np.floor(rho0 / kbar + 0.5))
-    if not (-n_max <= n0 < n_max):
-        raise GridOverflowError(
-            f"initial momentum {rho0} rounds to ladder state {n0}, "
-            f"outside the grid [-{n_max}, {n_max})"
-        )
-    return n0 % (2 * n_max), rho0 - n0 * kbar
 
 
 def _free_phases(q, kbar: float, size: int, dtau: float) -> np.ndarray:
@@ -113,31 +106,19 @@ def _energies(psi, q, kbar: float):
     return 0.5 * np.sum(weights * momenta**2, axis=1), weights, momenta
 
 
-def _jump(c, q: float, u: float, kbar: float):
-    """Add the recoil u to the quasimomentum q of one row.
-
-    q + u is folded into [-kbar/2, kbar/2) and the ladder is shifted by
-    the compensating integer with zero fill, so <rho> moves by exactly u;
-    the row is renormalised.  Returns (amplitudes, q).
-    """
-    q_raw = q + u
-    q_new = float(np.mod(q_raw + 0.5 * kbar, kbar) - 0.5 * kbar)
-    if q_new >= 0.5 * kbar:  # np.mod rounds a tiny negative argument up to kbar
-        q_new = -0.5 * kbar
-    shift = int(round((q_raw - q_new) / kbar))
-    out = np.roll(c, shift)
-    edge = c.size // 2  # n = -n_max in FFT order: where the roll wraps
-    out[min(edge, edge + shift) : max(edge, edge + shift)] = 0.0
-    out /= np.sqrt(_norms_sq(out))
-    return out, q_new
+def _jump(c, q: float, u: float):
+    """Add the recoil u to the momentum offset q of one row, so <rho>
+    moves by exactly u, and renormalise.  Returns (amplitudes, q)."""
+    return c / np.sqrt(_norms_sq(c)), q + u
 
 
 @dataclass
 class Wavefunction:
-    """Ladder amplitudes (FFT order) with quasimomentum offset q.
+    """Ladder amplitudes (FFT order) with momentum offset q.
 
-    The physical momentum of component n is n*kbar + q.  Instances are
-    treated as immutable; operations return new ones.
+    The physical momentum of component n is n*kbar + q; q is any real
+    number, not a first-zone quasimomentum.  Instances are treated as
+    immutable; operations return new ones.
     """
 
     c: np.ndarray
@@ -162,17 +143,16 @@ class Wavefunction:
 
 
 def init_wavefunction(n_max: int, initial_momentum: float, kbar: float) -> Wavefunction:
-    """Single ladder state nearest to initial_momentum; the remainder is q.
-
-    n_max must be a power of two >= 64; a momentum off the grid raises
-    GridOverflowError, a ValueError.
+    """All amplitude at ladder index 0 with q = initial_momentum, so the
+    window n in [-n_max, n_max) is centred on the start momentum, whatever
+    it is.  n_max must be a power of two >= 64.
     """
     if kbar <= 0:
         raise ValueError("kbar must be positive")
-    index, q = _ladder_start(initial_momentum, kbar, n_max)
+    _check_n_max(n_max)
     c = np.zeros(2 * n_max, dtype=np.complex128)
-    c[index] = 1.0
-    return Wavefunction(c=c, q=q, kbar=kbar)
+    c[0] = 1.0
+    return Wavefunction(c=c, q=initial_momentum, kbar=kbar)
 
 
 def free_propagate(psi: Wavefunction, dtau: float) -> Wavefunction:
@@ -204,7 +184,7 @@ def mcwf_check_jump(psi: Wavefunction, threshold: float, u: float):
     """
     if psi.norm_sq() >= threshold:
         return psi, False
-    c, q = _jump(psi.c, psi.q, u, psi.kbar)
+    c, q = _jump(psi.c, psi.q, u)
     return Wavefunction(c=c, q=q, kbar=psi.kbar), True
 
 
@@ -221,7 +201,7 @@ def _quantum_chunk(job):
     """Evolve quantum trajectories lo..hi-1.
 
     Returns their energies, normalised populations (rows in FFT order),
-    quasimomenta q and jump counts.
+    momentum offsets q and jump counts.
     """
     timeline, params, sweep_index, lo, hi, n_max = job
     n_rows = hi - lo
@@ -230,12 +210,11 @@ def _quantum_chunk(job):
     q, kf = np.empty((2, n_rows))
     thresholds, recoils = np.empty((2, n_rows, n_pairs))
     psi = np.zeros((n_rows, 2 * n_max), dtype=np.complex128)
+    psi[:, 0] = 1.0
     streams = trajectory_streams(params.rng_seed, sweep_index, ENGINE_QUANTUM, range(lo, hi))
     for i, s in enumerate(streams):
-        rho0, kf[i] = draw_momentum_and_kick_factor(params, s)
+        q[i], kf[i] = draw_momentum_and_kick_factor(params, s)
         thresholds[i], recoils[i] = draw_emission_pairs(s, n_pairs, kbar)
-        index, q[i] = _ladder_start(rho0, kbar, n_max)
-        psi[i, index] = 1.0
 
     rows = np.arange(n_rows)
     jump_counts = np.zeros(n_rows, dtype=int)
@@ -249,7 +228,7 @@ def _quantum_chunk(job):
         _pulse_rows(psi, q, kf, decay_scale, pulse.k_mid, pulse.step, kbar)
         norms2 = _norms_sq(psi)
         for i in np.flatnonzero(norms2 < thresholds[rows, jump_counts]):
-            psi[i], q[i] = _jump(psi[i], q[i], recoils[i, jump_counts[i]], kbar)
+            psi[i], q[i] = _jump(psi[i], q[i], recoils[i, jump_counts[i]])
             norms2[i] = 1.0
             jump_counts[i] += 1
         rel = np.abs(psi[:, n_max - 1 : n_max + 1]).max(axis=1) ** 2 / norms2
@@ -274,27 +253,34 @@ def run_mcwf_trajectories(
     sweep_index: int = 0,
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    bin_width: float = 0.5,
+    bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> QuantumEnsembleResult:
     """Run a quantum trajectory ensemble and average it incoherently.
 
-    Bit-identical for fixed (rng_seed, sweep_index) regardless of
-    n_workers and chunk_size: trajectory i draws everything up front from
-    its own stream (see run_classical_ensemble for the chunking scheme),
-    and the momentum histogram on momentum_bin_grid(bin_width, n_max + 1)
-    adds the rows' populations one at a time in trajectory order.
+    Row i's momenta (in recoils) are n + q_i/kbar, so the histogram grid
+    is momentum_bin_grid(bin_width, n_max + 1 + max_i |q_i|/kbar) over
+    the rows' final offsets; at q = 0 it is momentum_bin_grid(bin_width,
+    n_max + 1).  Bit-identical for fixed (rng_seed, sweep_index)
+    regardless of n_workers and chunk_size: trajectory i draws everything
+    up front from its own stream (see run_classical_ensemble for the
+    chunking scheme), the grid depends on the whole ensemble only, and
+    the histogram adds the rows' populations one at a time in trajectory
+    order.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    _check_n_max(n_max)
     jobs = [
         (timeline, params, sweep_index, lo, hi, n_max) for lo, hi in chunk_bounds(n_traj, chunk_size)
     ]
     energies, weights, q, jump_counts = zip(*chunked_map(_quantum_chunk, jobs, n_workers))
     n = _grids(2 * n_max)[0]
-    centers, _ = momentum_bin_grid(bin_width, n_max + 1.0)
+    q = np.concatenate(q)
+    half_range = n_max + 1.0 + np.abs(q).max() / params.kbar
+    centers, _ = momentum_bin_grid(bin_width, half_range)
     masses = np.zeros(len(centers))
-    for w, q_i in zip(itertools.chain(*weights), np.concatenate(q)):
-        masses += bin_momenta(n + q_i / params.kbar, bin_width, n_max + 1.0, w)[1]
+    for w, q_i in zip(itertools.chain(*weights), q):
+        masses += bin_momenta(n + q_i / params.kbar, bin_width, half_range, w)[1]
     dist = MomentumDistribution(bin_centers=centers, masses=masses / n_traj)
     return QuantumEnsembleResult(
         distribution=dist,

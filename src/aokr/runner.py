@@ -22,8 +22,15 @@ import numpy as np
 from . import analysis
 from .classical_sim import EnsembleParams, run_classical_ensemble
 from .constants import kbar_for_period
-from .pulse_train import PulseShapeParams, build_train_spec, resolve_timeline, unit_pulse_area
-from .quantum_sim import run_mcwf_trajectories
+from .pulse_train import (
+    DEFAULT_MIN_STEPS,
+    DEFAULT_ON_THRESHOLD,
+    PulseShapeParams,
+    build_train_spec,
+    resolve_timeline,
+    unit_pulse_area,
+)
+from .quantum_sim import DEFAULT_N_MAX, run_mcwf_trajectories
 
 MODE_PHASE_SWEEP = "phase_sweep"
 MODE_RATIO_SWEEP = "ratio_sweep"
@@ -53,7 +60,7 @@ class RunConfig:
     pulse_rise_ns: float = 104.0
     pulse_fall_ns: float = 121.0
     pulse_fwhm_ns: float = 396.0
-    on_threshold: float = 0.10
+    on_threshold: float = DEFAULT_ON_THRESHOLD
     eta: float = 0.028
     temperature_uk: float = 5.0
     beam_sigma_mm: float = 0.72
@@ -72,10 +79,10 @@ class RunConfig:
     # numerics
     n_traj_classical: int = 10000
     n_traj_quantum: int = 1000
-    n_max: int = 1024
-    min_steps_per_pulse: int = 16
-    bin_width: float = 0.5
-    epsilon_zero_velocity: float = 1.0
+    n_max: int = DEFAULT_N_MAX
+    min_steps_per_pulse: int = DEFAULT_MIN_STEPS
+    bin_width: float = analysis.DEFAULT_BIN_WIDTH
+    epsilon_zero_velocity: float = analysis.DEFAULT_EPSILON
     seed: int = 0
     n_workers: int = 1
     output_dir: str = "out"

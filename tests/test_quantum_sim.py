@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aokr.analysis import energy
+from aokr.analysis import energy, momentum_bin_grid
 from aokr.classical_sim import EnsembleParams, draw_momentum_and_kick_factor, run_classical_ensemble
 from aokr.pulse_train import (
     PulseShapeParams,
@@ -14,7 +14,9 @@ from aokr.pulse_train import (
 from aokr.quantum_sim import (
     GridOverflowError,
     Wavefunction,
+    _grids,
     _jump,
+    _quantum_chunk,
     free_propagate,
     init_wavefunction,
     kick_step,
@@ -65,25 +67,25 @@ class TestInit:
         assert psi.q == 0.0
         assert psi.norm_sq() == 1.0
 
-    def test_nearest_state_rounding(self):
-        psi = init_wavefunction(256, 0.6 * KBAR, KBAR)
-        assert psi.c[1] == 1.0
-        assert psi.q == pytest.approx(-0.4 * KBAR)
-
-    def test_negative_momentum(self):
-        psi = init_wavefunction(256, -2.3 * KBAR, KBAR)
-        assert psi.c[-2] == 1.0
-        assert psi.q == pytest.approx(-0.3 * KBAR)
-
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):
             init_wavefunction(100, 0.0, KBAR)
         with pytest.raises(ValueError):
             init_wavefunction(32, 0.0, KBAR)
 
-    def test_momentum_too_large(self):
-        with pytest.raises(ValueError):
-            init_wavefunction(128, 200 * KBAR, KBAR)
+    @pytest.mark.parametrize("p0_in_kbar", [0.6, -2.3, 200.0], ids=["0.6", "-2.3", "200"])
+    def test_starts_at_ladder_origin_with_q_at_start_momentum(self, p0_in_kbar):
+        # the ladder window follows p0, so a start far outside +-n_max kbar
+        # evolves like any other
+        p0 = p0_in_kbar * KBAR
+        psi = init_wavefunction(128, p0, KBAR)
+        assert psi.c[0] == 1.0
+        assert psi.norm_sq() == 1.0
+        assert psi.q == p0
+        assert psi.momentum_expectation() == p0
+        for _ in range(10):
+            psi = kick_step(psi, 631.25, 0.0, 0.001)
+        assert abs(psi.norm_sq() - 1.0) < 1e-12
 
 
 class TestFreePropagate:
@@ -152,33 +154,35 @@ class TestJump:
     def test_fold_and_expectation_shift(self):
         base = kick_step(init_wavefunction(256, 0.4 * KBAR, KBAR), 100.0, 0.0, 0.01)
         shrunk = Wavefunction(c=base.c * 0.6, q=base.q, kbar=KBAR)
-        u = 0.3 * KBAR  # q + u = 0.7 kbar folds to -0.3 kbar with ladder shift +1
+        u = 0.3 * KBAR  # q + u = 0.7 kbar lies outside the first zone
         before = shrunk.momentum_expectation()
         out, jumped = mcwf_check_jump(shrunk, 0.5, u)
         assert jumped
-        assert out.q == pytest.approx(-0.3 * KBAR)
-        assert -KBAR / 2 <= out.q < KBAR / 2
+        assert out.q == base.q + u
         assert out.momentum_expectation() - before == pytest.approx(u, abs=1e-10)
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        q=st.floats(-KBAR / 2, KBAR / 2, exclude_max=True),
+        q=st.floats(-5 * KBAR, 5 * KBAR),
         u=st.floats(-KBAR / 2, KBAR / 2, exclude_max=True),
     )
-    @example(q=0.4 * KBAR, u=0.3 * KBAR)  # ladder shift +1
-    @example(q=-0.4 * KBAR, u=-0.3 * KBAR)  # ladder shift -1
-    @example(q=-KBAR / 2, u=-np.spacing(KBAR / 2))  # np.mod rounds up to kbar
+    @example(q=0.4 * KBAR, u=0.3 * KBAR)  # leaves the first zone upwards
+    @example(q=-0.4 * KBAR, u=-0.3 * KBAR)  # and downwards
     def test_jump_moves_mean_momentum_by_recoil(self, q, u):
         kicked = kick_step(init_wavefunction(256, 0.0, KBAR), 100.0, 0.0, 0.01)
         before = Wavefunction(c=0.6 * kicked.c, q=q, kbar=KBAR)
-        c, q_new = _jump(before.c, q, u, KBAR)
+        c, q_new = _jump(before.c, q, u)
         after = Wavefunction(c=c, q=q_new, kbar=KBAR)
-        assert -KBAR / 2 <= q_new < KBAR / 2
+        assert q_new == q + u
         assert after.momentum_expectation() - before.momentum_expectation() == pytest.approx(
             u, abs=1e-10
         )
         assert after.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        # no amplitude moves along the ladder: only the norm changes
+        np.testing.assert_allclose(
+            np.abs(c), np.abs(before.c) / np.sqrt(before.norm_sq()), rtol=1e-14, atol=0
+        )
 
     def test_no_jumps_without_decay(self):
         spec = single_train_spec(10, 5.0, PulseShapeParams.square(0.016), KBAR)
@@ -263,7 +267,7 @@ class TestEnsemble:
         tl = resolve_timeline(spec)
         params = params_with(rng_seed=21)
         result = run_mcwf_trajectories(tl, params, 400, n_max=128)
-        # energies must match the rounded initial thermal draw
+        # energies must match the initial thermal draw
         sigma = params.sigma_n
         assert np.mean(result.energies) == pytest.approx(sigma**2 / 2, rel=0.15)
         assert energy(result.distribution) == pytest.approx(sigma**2 / 2, rel=0.15)
@@ -315,6 +319,27 @@ class TestEnsemble:
         same, doubled = jumps
         se = np.hypot(*(j.std(ddof=1) / np.sqrt(j.size) for j in jumps))
         assert abs(doubled.mean() - same.mean()) < 3 * se
+
+    def test_histogram_grid_covers_every_row_offset(self):
+        # a row's momenta are n + q/kbar with q its own final offset, so the
+        # grid widens by max |q|/kbar; at q = 0 it is the zero-centred one
+        shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
+        tl = resolve_timeline(build_train_spec(1.0, 0.0, 6, 10.1, 10.1, shape, KBAR))
+        cold = dict(temperature_uk=0.0, rng_seed=2)
+        at_rest = run_mcwf_trajectories(tl, params_with(eta_per_pulse=0.0, **cold), 4, n_max=64)
+        assert np.array_equal(at_rest.distribution.bin_centers, momentum_bin_grid(0.5, 65)[0])
+
+        # at T = 0 only jumps move q
+        n_traj, n_max = 16, 64
+        params = params_with(eta_per_pulse=0.6, **cold)
+        q = _quantum_chunk((tl, params, 0, 0, n_traj, n_max))[2]
+        assert np.abs(q).max() > KBAR / 2
+        dist = run_mcwf_trajectories(tl, params, n_traj, n_max=n_max).distribution
+        momenta = _grids(2 * n_max)[0][None, :] + q[:, None] / KBAR
+        half_bin = 0.25
+        assert dist.bin_centers[0] - half_bin <= momenta.min()
+        assert momenta.max() < dist.bin_centers[-1] + half_bin
+        assert dist.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_overflow_detected(self):
         # small-kbar diffusion on a deliberately tight grid must trip the
