@@ -28,7 +28,7 @@ def momentum_bin_grid(bin_width: float, half_range: float):
     Returns (centers, edges).
     """
     if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+        raise ValueError(f"bin_width: must be positive, got {bin_width}")
     n_half = int(math.ceil(half_range / bin_width))
     centers = np.arange(-n_half, n_half + 1) * bin_width
     edges = (np.arange(-n_half, n_half + 2) - 0.5) * bin_width

@@ -26,7 +26,7 @@ _FLAGS = [
     ("--pulse-rise-ns", "pulse_rise_ns", "envelope rise time"),
     ("--pulse-fall-ns", "pulse_fall_ns", "envelope fall time"),
     ("--pulse-fwhm-ns", "pulse_fwhm_ns", "envelope FWHM"),
-    ("--eta", "eta", "spontaneous emission probability per pulse"),
+    ("--eta", "eta", "spontaneous emission probability per constituent pulse"),
     ("--temperature-uk", "temperature_uk", "cloud temperature in microkelvin"),
     ("--beam-sigma-mm", "beam_sigma_mm", "kicking beam intensity sigma"),
     ("--cloud-sigma-mm", "cloud_sigma_mm", "cloud sigma (0 = point cloud)"),
@@ -38,7 +38,7 @@ _FLAGS = [
     ("--r-prime", "r_prime_values", "comma-separated r' values (ratio sweep)"),
     ("--n-traj-classical", "n_traj_classical", "classical trajectories per point"),
     ("--n-traj-quantum", "n_traj_quantum", "quantum trajectories per point"),
-    ("--n-max", "n_max", "momentum ladder half size (power of two)"),
+    ("--n-max", "n_max", "momentum ladder half size (power of two >= 64)"),
     ("--min-steps", "min_steps_per_pulse", "minimum grid steps per pulse"),
     ("--bin-width", "bin_width", "histogram bin width (recoils)"),
     ("--epsilon", "epsilon_zero_velocity", "zero-velocity window (recoils)"),
@@ -60,14 +60,20 @@ def _build_config(args, mode):
     """The validated RunConfig of the config file overridden by the given flags."""
     mapping = parse_config_file(args.config) if args.config else {}
     mapping["mode"] = mode
-    for flag, fieldname, _ in _FLAGS:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if fieldname is not None and value is not None:
-            mapping[fieldname] = value
+    shorthand = {}  # field -> the shorthand flag that set it
     if args.kappa is not None:
+        shorthand.update(kappa1="--kappa", kappa2="--kappa")
         mapping["kappa1"] = mapping["kappa2"] = args.kappa
     if args.square_pulses:
-        mapping.update(pulse_rise_ns="0", pulse_fall_ns="0", pulse_fwhm_ns="480")
+        square = dict(pulse_rise_ns="0", pulse_fall_ns="0", pulse_fwhm_ns="480")
+        shorthand.update(dict.fromkeys(square, "--square-pulses"))
+        mapping.update(square)
+    for flag, fieldname, _ in _FLAGS:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is not None and fieldname in shorthand:
+            raise ValueError(f"{fieldname}: {flag} conflicts with {shorthand[fieldname]}")
+        if fieldname is not None and value is not None:
+            mapping[fieldname] = value
     return RunConfig.from_mapping(mapping).validate()
 
 
@@ -78,12 +84,8 @@ def main(argv=None):
         "and Monte Carlo wavefunction trajectories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, mode in [
-        ("phase-sweep", MODE_PHASE_SWEEP),
-        ("ratio-sweep", MODE_RATIO_SWEEP),
-        ("single", MODE_SINGLE),
-    ]:
-        p = sub.add_parser(name, help=f"run a {mode} computation")
+    for mode in (MODE_PHASE_SWEEP, MODE_RATIO_SWEEP, MODE_SINGLE):
+        p = sub.add_parser(mode.replace("_", "-"), help=f"run a {mode} computation")
         _add_common(p)
         p.set_defaults(mode=mode)
 

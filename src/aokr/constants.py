@@ -19,7 +19,7 @@ CS_KL = 2.0 * math.pi / CS_D2_WAVELENGTH  # laser wavenumber, 1/m
 def kbar_for_period(t1_us: float) -> float:
     """Effective Planck constant kbar = 4 hbar k_L^2 T1 / m for period T1 (in us)."""
     if t1_us <= 0:
-        raise ValueError(f"t1_us must be positive, got {t1_us}")
+        raise ValueError(f"t1_us: must be positive, got {t1_us}")
     return 4.0 * HBAR * CS_KL**2 * (t1_us * 1e-6) / CS_MASS
 
 

@@ -44,12 +44,13 @@ class PulseShapeParams:
 
     def __post_init__(self):
         if self.fwhm <= 0:
-            raise ValueError(f"fwhm must be positive, got {self.fwhm}")
-        if self.rise_time < 0 or self.fall_time < 0:
-            raise ValueError("rise_time and fall_time must be >= 0")
+            raise ValueError("fwhm: must be positive")
+        for name in ("rise_time", "fall_time"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
         if not (0.0 < self.on_threshold_fraction < 0.5):
             raise ValueError(
-                f"on_threshold_fraction must lie in (0, 0.5), got {self.on_threshold_fraction}"
+                f"on_threshold_fraction: must lie in (0, 0.5), got {self.on_threshold_fraction}"
             )
 
     @classmethod
@@ -66,6 +67,8 @@ class PulseShapeParams:
         t1_us: float,
         on_threshold_fraction: float = DEFAULT_ON_THRESHOLD,
     ):
+        if t1_us <= 0:
+            raise ValueError(f"t1_us: must be positive, got {t1_us}")
         scale = 1.0 / (t1_us * 1000.0)
         return cls(rise_ns * scale, fall_ns * scale, fwhm_ns * scale, on_threshold_fraction)
 
@@ -89,15 +92,16 @@ class TwoFreqTrainSpec:
 
     def __post_init__(self):
         if self.ratio <= 0:
-            raise ValueError(f"ratio must be positive, got {self.ratio}")
+            raise ValueError(f"ratio: must be positive, got {self.ratio}")
         if not (0.0 <= self.alpha0 < 1.0):
-            raise ValueError(f"alpha0 must lie in [0, 1), got {self.alpha0}")
+            raise ValueError(f"alpha0: must lie in [0, 1), got {self.alpha0}")
         if self.n_first < 0 or self.n_second < 0 or self.n_first + self.n_second < 1:
-            raise ValueError("pulse counts must be >= 0 with at least one pulse in total")
-        if self.kappa1 < 0 or self.kappa2 < 0:
-            raise ValueError("kick strengths must be >= 0")
+            raise ValueError("n_first, n_second: must be >= 0 with at least one pulse in total")
+        for name in ("kappa1", "kappa2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
         if self.kbar <= 0:
-            raise ValueError(f"kbar must be positive, got {self.kbar}")
+            raise ValueError(f"kbar: must be positive, got {self.kbar}")
 
     @property
     def n_total(self) -> int:
@@ -137,12 +141,8 @@ def build_train_spec(
     later of the two train end times, max((N-1), alpha0 + (M-1) r).
     Ties go to the larger N so the split is deterministic.
     """
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    if n_total < 1:
-        raise ValueError(f"n_total must be >= 1, got {n_total}")
-    if not (0.0 <= alpha0 < 1.0):
-        raise ValueError(f"alpha0 must lie in [0, 1), got {alpha0}")
+    if n_total < 1:  # the scan needs a kick; the spec checks r and alpha0
+        raise ValueError(f"n_total: must be >= 1, got {n_total}")
     best = None
     for n in range(n_total + 1):
         m = n_total - n
@@ -225,7 +225,7 @@ def _threshold_window(shape: PulseShapeParams):
     rising edge of the shape with rise and fall times swapped.
     """
     if float(_raw_envelope(0.0, shape)) <= shape.on_threshold_fraction:
-        raise ValueError("degenerate pulse shape: peak height is below the on threshold")
+        raise ValueError("fwhm: must give a peak above the on threshold (degenerate pulse shape)")
     mirrored = replace(shape, rise_time=shape.fall_time, fall_time=shape.rise_time)
     return _rising_edge(shape), -_rising_edge(mirrored)
 
@@ -318,7 +318,7 @@ def resolve_timeline(
     overlap-lengthened pulses are sampled at least as finely.
     """
     if min_steps_per_pulse < 1:
-        raise ValueError("min_steps_per_pulse must be >= 1")
+        raise ValueError(f"min_steps_per_pulse: must be >= 1, got {min_steps_per_pulse}")
     kappa = {1: spec.kappa1, 2: spec.kappa2}
     kmax = {tr: normalize_height(k, spec.shape) for tr, k in kappa.items()}
     on, off = _threshold_window(spec.shape)

@@ -59,7 +59,7 @@ def _grids(size: int):
 def _check_n_max(n_max: int):
     """n_max must be a power of two >= 64 (grid size 2*n_max is FFT-friendly)."""
     if n_max < 64 or (n_max & (n_max - 1)) != 0:
-        raise ValueError(f"n_max must be a power of two >= 64, got {n_max}")
+        raise ValueError(f"n_max: must be a power of two >= 64, got {n_max}")
 
 
 def _free_phases(q, kbar: float, size: int, dtau: float) -> np.ndarray:

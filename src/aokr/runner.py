@@ -2,15 +2,16 @@
 
 text -> RunConfig -> sweep points -> rows -> files.  Config files and CLI
 flags both reach ``RunConfig.from_mapping``, which converts each value by
-its field's type.  ``run`` validates the config, lists its
-(sweep value, ratio, psi0) points, resolves each point's pulse timeline
-and runs the selected engines on it; ``emit_outputs`` writes the rows.
+its field's type.  ``run`` validates the config, takes each sweep point's
+train spec from ``sweep_points``, resolves the point's pulse timeline and
+runs the selected engines on it; ``emit_outputs`` writes the rows.
 
 A RunConfig fully determines a run; every sweep point gets its own
 counter-based random substream keyed by (seed, sweep index), so rows are
 reproducible bit-for-bit regardless of worker count or execution order.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -30,7 +31,7 @@ from .pulse_train import (
     resolve_timeline,
     unit_pulse_area,
 )
-from .quantum_sim import DEFAULT_N_MAX, run_mcwf_trajectories
+from .quantum_sim import DEFAULT_N_MAX, _check_n_max, run_mcwf_trajectories
 
 MODE_PHASE_SWEEP = "phase_sweep"
 MODE_RATIO_SWEEP = "ratio_sweep"
@@ -41,6 +42,16 @@ ENGINE_QUANTUM = "quantum"
 ENGINE_BOTH = "both"
 
 UNITS_HEADER = "# units: momentum=two-photon-recoils energy=two-photon-recoil-units"
+
+# field names of the run's objects that differ from the config keys they come from
+_CONFIG_KEYS = {
+    "rise_time": "pulse_rise_ns",
+    "fall_time": "pulse_fall_ns",
+    "fwhm": "pulse_fwhm_ns",
+    "on_threshold_fraction": "on_threshold",
+    "eta_per_pulse": "eta",
+    "n_total": "n_tot",
+}
 
 
 @dataclass
@@ -88,6 +99,17 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate(self):
+        """This config, or a ValueError naming the bad fields.
+
+        Checked here, as no object of the run owns them: finiteness (NaN
+        passes every range test), mode, engine, kbar >= 0, the sweep axes,
+        n_workers, trajectory counts, sublevel lengths, and
+        min_steps_per_pulse and epsilon_zero_velocity (their owners need a
+        timeline or a distribution).  When those pass, the other rules come
+        from building what the run builds: the pulse shape and its area, the
+        ensemble parameters, every sweep point's train spec, the n_max check
+        and the bin grid.  The first error raised is renamed to its config key.
+        """
         problems = []
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
@@ -98,28 +120,14 @@ class RunConfig:
             problems.append(f"mode: unknown value {self.mode!r}")
         if self.engine not in (ENGINE_CLASSICAL, ENGINE_QUANTUM, ENGINE_BOTH):
             problems.append(f"engine: unknown value {self.engine!r}")
-        if self.ratio <= 0:
-            problems.append(f"ratio: must be positive, got {self.ratio}")
-        if self.n_tot < 1:
-            problems.append(f"n_tot: must be >= 1, got {self.n_tot}")
-        if self.kappa1 < 0 or self.kappa2 < 0:
-            problems.append("kappa1/kappa2: must be >= 0")
-        if self.t1_us <= 0:
-            problems.append(f"t1_us: must be positive, got {self.t1_us}")
         if self.kbar < 0:
             problems.append(f"kbar: must be >= 0 (0 = derive from t1_us), got {self.kbar}")
-        for name in ("pulse_rise_ns", "pulse_fall_ns"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name}: must be >= 0, got {getattr(self, name)}")
-        if not (0 < self.on_threshold < 0.5):
-            problems.append(f"on_threshold: must lie in (0, 0.5), got {self.on_threshold}")
-        if self.eta < 0 or self.eta >= 1:
-            problems.append(f"eta: must lie in [0, 1), got {self.eta}")
         if self.mode == MODE_PHASE_SWEEP:
-            if not (0 <= self.psi0_start_deg <= 360 and 0 <= self.psi0_stop_deg <= 360):
-                problems.append("psi0_start_deg/psi0_stop_deg: must lie in [0, 360]")
+            for name in ("psi0_start_deg", "psi0_stop_deg"):
+                if not (0 <= getattr(self, name) <= 360):
+                    problems.append(f"{name}: must lie in [0, 360], got {getattr(self, name)}")
             if self.psi0_step_deg <= 0:
-                problems.append("psi0_step_deg: must be positive")
+                problems.append(f"psi0_step_deg: must be positive, got {self.psi0_step_deg}")
             if self.psi0_stop_deg < self.psi0_start_deg:
                 problems.append("psi0_stop_deg: must be >= psi0_start_deg")
         if self.mode == MODE_SINGLE and not (0 <= self.psi0_deg <= 360):
@@ -130,39 +138,31 @@ class RunConfig:
             for rp in self.r_prime_values:
                 if rp <= 0:
                     problems.append(f"r_prime_values: must be positive, got {rp}")
-                elif self.psi0_prime_deg * (1.0 / rp) >= 360.0:  # run's own arithmetic
-                    problems.append(
-                        f"r_prime_values: r'={rp} puts the first pulse of train 2 "
-                        f"beyond one primary period (psi0 = psi0_prime/r' >= 360 deg)"
-                    )
             if not (0 <= self.psi0_prime_deg <= 360):
-                problems.append("psi0_prime_deg: must lie in [0, 360]")
+                problems.append(f"psi0_prime_deg: must lie in [0, 360], got {self.psi0_prime_deg}")
         for name in ("n_traj_classical", "n_traj_quantum"):
             if getattr(self, name) < 2:  # a standard error needs two trajectories
                 problems.append(f"{name}: must be >= 2, got {getattr(self, name)}")
         if self.n_workers < 1:
             problems.append(f"n_workers: must be >= 1, got {self.n_workers}")
-        if self.n_max < 64 or (self.n_max & (self.n_max - 1)) != 0:
-            problems.append(f"n_max: must be a power of two >= 64, got {self.n_max}")
         if self.min_steps_per_pulse < 1:
             problems.append(f"min_steps_per_pulse: must be >= 1, got {self.min_steps_per_pulse}")
-        if self.bin_width <= 0:
-            problems.append(f"bin_width: must be positive, got {self.bin_width}")
         if self.epsilon_zero_velocity <= 0:
             problems.append(
                 f"epsilon_zero_velocity: must be positive, got {self.epsilon_zero_velocity}"
             )
         if len(self.sublevel_factors) != len(self.sublevel_weights):
-            problems.append("sublevel_factors/sublevel_weights: lengths differ")
+            problems.append("sublevel_weights: must have one entry per sublevel factor")
         if not problems:
-            try:  # temperature, cloud and beam sigmas, sublevel factors and weights
-                self.ensemble_params()
-            except ValueError as exc:
-                problems.append(str(exc))
-            try:  # a FWHM that is not positive, or too short for the edges
+            try:
                 unit_pulse_area(self.pulse_shape())
+                self.ensemble_params()
+                list(sweep_points(self))
+                _check_n_max(self.n_max)
+                analysis.momentum_bin_grid(self.bin_width, 0.0)  # checks the bin width
             except ValueError as exc:
-                problems.append(f"pulse_fwhm_ns: must give a pulse above on_threshold ({exc})")
+                name, sep, rest = str(exc).partition(":")
+                problems.append(_CONFIG_KEYS.get(name, name) + sep + rest)
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
         return self
@@ -315,22 +315,24 @@ def phase_sweep_values(config: RunConfig):
     return [config.psi0_start_deg + i * config.psi0_step_deg for i in range(n + 1)]
 
 
-def run(config: RunConfig) -> SweepResult:
-    """Validate the config, then run its engines on each sweep point in order.
+def sweep_points(config: RunConfig):
+    """Yield (sweep value, train spec) of each sweep point, in run order.
 
     A phase sweep (or single point) varies psi0 at the configured ratio.  A
     ratio sweep point r' has ratio = 1/r' and psi0 = psi0_prime * ratio, so
-    the delay is fixed in units of the second train's period.
+    the delay is fixed in units of the second train's period; it must stay
+    below one primary period.
     """
-    config.validate()
     if config.mode == MODE_RATIO_SWEEP:
         points = [(rp, 1.0 / rp, config.psi0_prime_deg * (1.0 / rp)) for rp in config.r_prime_values]
+        late = [rp for rp, _, psi0 in points if psi0 >= 360.0]
+        if late:
+            raise ValueError(f"r_prime_values: psi0_prime/r' must be < 360 deg, got r' = {late}")
     else:
         psi0s = [config.psi0_deg] if config.mode == MODE_SINGLE else phase_sweep_values(config)
         points = [(psi0, config.ratio, psi0) for psi0 in psi0s]
-    rows = []
-    for idx, (sweep_value, ratio, psi0) in enumerate(points):
-        spec = build_train_spec(
+    for sweep_value, ratio, psi0 in points:
+        yield sweep_value, build_train_spec(
             ratio,
             (psi0 / 360.0) % 1.0,
             config.n_tot,
@@ -339,6 +341,13 @@ def run(config: RunConfig) -> SweepResult:
             config.pulse_shape(),
             config.kbar_effective,
         )
+
+
+def run(config: RunConfig) -> SweepResult:
+    """Validate the config, then run its engines on each sweep point in order."""
+    config.validate()
+    rows = []
+    for idx, (sweep_value, spec) in enumerate(sweep_points(config)):
         timeline = resolve_timeline(spec, config.min_steps_per_pulse)
         rows.extend(_run_point(config, timeline, idx, sweep_value))
     return SweepResult(rows=rows, config=config)
@@ -426,21 +435,9 @@ def emit_outputs(result: SweepResult, out_dir) -> list:
 
 def read_sweep_csv(path):
     """Parse a sweep.csv back into plain rows (floats round-trip exactly)."""
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("sweep_value"):
-                continue
-            parts = line.strip().split(",")
-            rows.append(
-                {
-                    "sweep_value": float(parts[0]),
-                    "engine": parts[1],
-                    "energy": float(parts[2]),
-                    "energy_stderr": float(parts[3]),
-                    "zero_velocity_fraction": float(parts[4]),
-                    "lineshape_class": parts[5],
-                    "distribution_file": parts[6],
-                }
-            )
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    for row in rows:
+        for key in ("sweep_value", "energy", "energy_stderr", "zero_velocity_fraction"):
+            row[key] = float(row[key])
     return rows

@@ -320,6 +320,25 @@ class TestEnsemble:
         se = np.hypot(*(j.std(ddof=1) / np.sqrt(j.size) for j in jumps))
         assert abs(doubled.mean() - same.mean()) < 3 * se
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the quantum engine emits below eta per constituent pulse (ROADMAP Direction K)",
+    )
+    def test_quantum_emission_rate_equals_eta(self):
+        # at a kick too weak to move the atoms, jumps per constituent pulse
+        # must be eta itself, the probability the classical engine fires with;
+        # 1024 trajectories x 30 pulses give 30 720 constituent-pulse checks
+        eta, n_traj = 0.1, 1024
+        shape = PulseShapeParams.from_physical_ns(104.0, 121.0, 396.0, 30.0)
+        spec = build_train_spec(np.sqrt(2.0), 30.0 / 360.0, 30, 0.01, 0.01, shape, KBAR)
+        tl = resolve_timeline(spec, min_steps_per_pulse=4)
+        params = params_with(eta_per_pulse=eta, rng_seed=11)
+        jumps = run_mcwf_trajectories(tl, params, n_traj, n_max=64).jump_counts
+        n_constituents = sum(p.n_constituents for p in tl.pulses)
+        rate = jumps.mean() / n_constituents
+        se = jumps.std(ddof=1) / np.sqrt(n_traj) / n_constituents
+        assert abs(rate - eta) < 2 * se
+
     def test_histogram_grid_covers_every_row_offset(self):
         # a row's momenta are n + q/kbar with q its own final offset, so the
         # grid widens by max |q|/kbar; at q = 0 it is the zero-centred one

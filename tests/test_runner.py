@@ -84,11 +84,33 @@ class TestConfig:
             ("pulse_fwhm_ns", 5.0),  # too short for the default edges
             ("on_threshold", 0.0),
             ("on_threshold", 0.5),
+            ("ratio", 0.0),
+            ("n_tot", 0),
+            ("kappa1", -1.0),
+            ("kappa2", -1.0),
+            ("eta", 1.0),
+            ("t1_us", 0.0),  # kbar = 0 derives kbar from t1_us
+            ("psi0_deg", 400.0),
         ],
     )
     def test_out_of_range_rejected_naming_field(self, field, value):
         with pytest.raises(ValueError) as info:
             fast_config(**{"cloud_sigma_mm": 0.5, field: value}).validate()
+        assert f"{field}: must" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "field, value, context",
+        [
+            ("t1_us", 0.0, dict(kbar=2.0)),  # the pulse shape reads t1_us whatever kbar is
+            ("psi0_start_deg", -5.0, dict(mode="phase_sweep")),
+            ("psi0_stop_deg", 400.0, dict(mode="phase_sweep")),
+            ("psi0_step_deg", 0.0, dict(mode="phase_sweep")),
+            ("psi0_prime_deg", 400.0, dict(mode="ratio_sweep", r_prime_values=(1.0,))),
+        ],
+    )
+    def test_out_of_range_in_context_rejected_naming_field(self, field, value, context):
+        with pytest.raises(ValueError) as info:
+            fast_config(**{**context, field: value}).validate()
         assert f"{field}: must" in str(info.value)
 
     def test_ratio_sweep_requires_values(self):
@@ -208,6 +230,25 @@ class TestSweeps:
             (110.0, "classical"),
             (110.0, "quantum"),
         ]
+
+    def test_one_timeline_per_point_and_none_from_validate(self, monkeypatch):
+        from aokr import runner
+
+        calls = []
+        resolve = runner.resolve_timeline
+
+        def counted(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(runner, "resolve_timeline", counted)
+        cfg = fast_config(
+            mode="phase_sweep", psi0_start_deg=0.0, psi0_stop_deg=90.0, psi0_step_deg=45.0
+        )
+        cfg.validate()
+        assert calls == []
+        run(cfg)
+        assert len(calls) == 3
 
     def test_classical_row_reduces_the_ensemble_momenta(self):
         # the run layer reduces per-trajectory energies n^2/2; that equals
@@ -376,6 +417,48 @@ class TestCli:
             main(["single", flag, value, "--out", str(tmp_path)])
         assert info.value.code == 2
         assert f"{field}: must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--kappa", "3", "--kappa2", "4"], "kappa2"),
+            (["--kappa1", "4", "--kappa", "3"], "kappa1"),
+            (["--square-pulses", "--pulse-fwhm-ns", "300"], "pulse_fwhm_ns"),
+            (["--pulse-rise-ns", "50", "--square-pulses"], "pulse_rise_ns"),
+        ],
+    )
+    def test_conflicting_flags_rejected_naming_field(self, tmp_path, no_engine, capsys, argv, field):
+        from aokr.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["single", *argv, "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert f"{field}: " in capsys.readouterr().err
+
+    def test_shorthand_flags_override_config_file(self, tmp_path):
+        cfg_path = tmp_path / "base.cfg"
+        cfg_path.write_text("kappa1 = 5\npulse_fwhm_ns = 300\n")
+        cfg = _parse_cli(
+            ["--config", str(cfg_path), "--kappa", "3", "--square-pulses", "--r-prime", "1"]
+        )
+        assert (cfg.kappa1, cfg.kappa2, cfg.pulse_fwhm_ns) == (3.0, 3.0, 480.0)
+
+    def test_square_pulses_written_to_config_snapshot(self, tmp_path):
+        from aokr.cli import main
+
+        rc = main(
+            [
+                "single",
+                "--square-pulses", "--engine", "classical",
+                "--n-traj-classical", "16", "--n-tot", "2",
+                "--cloud-sigma-mm", "0", "--seed", "1",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        snapshot = json.loads((tmp_path / "config.json").read_text())
+        assert (snapshot["pulse_rise_ns"], snapshot["pulse_fall_ns"]) == (0.0, 0.0)
+        assert snapshot["pulse_fwhm_ns"] == 480.0
 
     def test_unreadable_value_rejected_naming_key(self, tmp_path, no_engine, capsys):
         from aokr.cli import main
