@@ -3,27 +3,23 @@
 The classical rotor inside a pulse obeys H = rho^2/2 + k cos(phi), a
 pendulum whose flow has a closed-form solution in Jacobi elliptic
 functions.  Librating rows (m = (E + k)/2k < 1, the stable fixed point
-at m = 0 included) run on modulus m and rotating rows on 1/m, all
-through one call each of scipy.special's ellipkinc (F(phi | m), which
-inverts the initial condition), ellipk (K(m)) and ellipj (sn/cn/dn).
+at m = 0 included) run on modulus m and rotating rows on 1/m.  A row's
+state already is (sn, cn, dn) of its elliptic argument u0, so one step
+makes a single scipy.special.ellipj call at u = rate * dtau and the
+addition theorem (DLMF 22.8.1-3) gives the state at u0 + u.
 
-Within SEPARATRIX_TOL of the separatrix the closed form is not used.
-The Cephes ellipj behind scipy switches to an approximation for
-m >= 1 - 1e-10 that is badly wrong away from small u (at 1 - m = 1e-10
-it gives cn(2K) = -2 instead of -1), so the band is 1e-9 wide, clear of
-that switch, and its rows are integrated one at a time by DOP853.
+The same closed form holds at the separatrix: m = 1 runs through
+ellipj(u, 1) = (tanh, sech, sech).  The Cephes ellipj behind scipy
+switches to an approximation for m >= 1 - 1e-10 that is badly wrong
+near u ~ K (at 1 - m = 1e-10 it gives cn(2K) = -2 instead of -1), but
+it is accurate at small u, and a step only evaluates it at u = rate *
+dtau, never at u0, so no row needs another integrator.
 
 All functions accept scalars or numpy arrays and broadcast.
 """
 
 import numpy as np
-from scipy.special import ellipj, ellipk, ellipkinc
-
-# Energy window (relative to the separatrix energy) inside which the
-# closed form is replaced by the stepped reference integrator.
-# It must stay wider than the 1e-10 window where Cephes ellipj switches
-# to its m -> 1 approximation.
-SEPARATRIX_TOL = 1e-9
+from scipy.special import ellipj
 
 
 def _as_float_array(x):
@@ -39,8 +35,8 @@ def pendulum_step_reference(phi, rho, k_rate, dtau):
     """Stepped reference propagator for H = rho^2/2 + k cos(phi).
 
     Adaptive 8th-order explicit Runge-Kutta (DOP853) at local tolerance
-    1e-12.  Used as the test oracle for the closed-form step and as the
-    fallback in the immediate neighbourhood of the separatrix.
+    1e-12.  The test oracle for the closed-form step; no engine path
+    calls it.
     """
     out_phi, out_rho = _pendulum_reference_batch(
         np.atleast_1d(_as_float_array(phi)),
@@ -88,39 +84,32 @@ def _pendulum_step_arrays(phi, rho, k_rate, dtau):
     with np.errstate(divide="ignore", invalid="ignore"):
         half = 0.5 * _wrap_angle(phi - np.pi)  # theta/2, theta from the stable minimum
         w = np.sqrt(k)
+        a = np.sin(half)
+        cos_h = np.cos(half)
         # m_lib = sin^2(theta/2) + rho^2/(4k) = (E + k)/(2k), cancellation-free
-        m_lib = np.sin(half) ** 2 + rho**2 / (4.0 * k)
-        band = ~free & (np.abs(m_lib - 1.0) <= SEPARATRIX_TOL)
+        m_lib = a**2 + rho**2 / (4.0 * k)
         lib = m_lib < 1.0  # the stable fixed point (m = 0) librates in place
-        m = np.where(lib, m_lib, 1.0 / m_lib)
-        root_m = np.sqrt(m)
-        neg = rho < 0.0
-        s = np.where(neg, -1.0, 1.0)
-        # libration start amplitude from both sin(theta/2) and |rho|/(2 sqrt k):
-        # well conditioned as sn -> 1; rotation starts from theta/2 itself
-        amp = np.where(lib, np.arctan2(np.sin(half), np.abs(rho) / (2.0 * w)), half)
-        u0 = ellipkinc(amp, m)
-        K = ellipk(m)
-        u0 = np.where(lib & neg, 2.0 * K - u0, u0)
-        rate = np.where(lib, w, s * (w / root_m))  # rotation: sqrt((E + k)/2)
-        u1 = u0 + rate * dt
-        period = 4.0 * K
-        u1 = u1 - period * np.floor(u1 / period)
-        sn1, cn1, dn1, _ = ellipj(u1, m)
-        theta1 = np.where(
-            lib, 2.0 * np.arcsin(np.clip(root_m * sn1, -1.0, 1.0)), 2.0 * np.arctan2(sn1, cn1)
-        )
+        root_m = np.sqrt(m_lib)
+        s = np.where(rho < 0.0, -1.0, 1.0)
+        # (a, b, c) is (sn, cn, dn) of u0.  Rotation (modulus mu = 1/m_lib,
+        # the separatrix m = 1 included) holds sin(theta/2), cos(theta/2) and
+        # |rho|/(2 sqrt(k m_lib)).  Libration (modulus m_lib) holds sqrt(m) sn,
+        # sqrt(m) cn and dn = sin(theta/2), rho/(2 sqrt k) and cos(theta/2):
+        # finite at m = 0, and the m in the addition formulas becomes mu = 1
+        b = np.where(lib, rho / (2.0 * w), cos_h)
+        c = np.where(lib, cos_h, np.abs(rho) / (2.0 * w * root_m))
+        mu = np.where(lib, 1.0, 1.0 / m_lib)
+        rate = np.where(lib, w, s * w * root_m)  # rotation: sqrt((E + k)/2)
+        sn, cn, dn, _ = ellipj(rate * dt, np.where(lib, m_lib, mu))
+        # addition theorem, DLMF 22.8.1-3: the state at u0 + rate * dt
+        den = 1.0 - mu * (a * sn) ** 2
+        a1 = (a * cn * dn + b * c * sn) / den
+        b1 = (b * cn - a * c * sn * dn) / den
+        c1 = (c * dn - mu * a * b * sn * cn) / den
+        # read theta/2 and rho back as the start state was written
+        theta1 = 2.0 * np.arctan2(a1, np.where(lib, c1, b1))
         out_phi = np.where(free, _wrap_angle(phi + rho * dt), _wrap_angle(theta1 + np.pi))
-        out_rho = np.where(
-            free, rho, np.where(lib, 2.0 * root_m * w * cn1, s * 2.0 * w / root_m * dn1)
-        )
-
-    # one solve per row: a shared adaptive step would make a row's result
-    # depend on which rows share its chunk
-    for i in np.flatnonzero(band):
-        out_phi.flat[i], out_rho.flat[i] = pendulum_step_reference(
-            phi.flat[i], rho.flat[i], k.flat[i], dt.flat[i]
-        )
+        out_rho = np.where(free, rho, 2.0 * w * np.where(lib, b1, s * root_m * c1))
     return out_phi, out_rho
 
 
@@ -129,8 +118,9 @@ def pendulum_step(phi, rho, k_rate, dtau):
 
     Evaluates the Jacobi-elliptic solution on the modulus set by the
     conserved pendulum energy (libration or rotation); phi is returned
-    wrapped to [-pi, pi).  Within SEPARATRIX_TOL of the separatrix energy
-    the stepped reference integrator is used instead, one row at a time.
+    wrapped to [-pi, pi).  Every row, the separatrix included, takes the
+    same closed form: one ellipj call at rate * dtau and the addition
+    theorem.
     """
     if np.any(_as_float_array(dtau) < 0):
         raise ValueError("dtau must be >= 0")

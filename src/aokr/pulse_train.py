@@ -224,8 +224,13 @@ def _threshold_window(shape: PulseShapeParams):
     erf is odd, so the falling edge is exactly the mirror image of the
     rising edge of the shape with rise and fall times swapped.
     """
-    if float(_raw_envelope(0.0, shape)) <= shape.on_threshold_fraction:
-        raise ValueError("fwhm: must give a peak above the on threshold (degenerate pulse shape)")
+    peak = float(_raw_envelope(0.0, shape))
+    if peak <= shape.on_threshold_fraction:
+        raise ValueError(
+            f"fwhm: must give a peak above the on threshold, but with rise time "
+            f"{shape.rise_time:.4g} and fall time {shape.fall_time:.4g} (units of T1) "
+            f"the envelope peaks at {peak:.3g} against threshold {shape.on_threshold_fraction:g}"
+        )
     mirrored = replace(shape, rise_time=shape.fall_time, fall_time=shape.rise_time)
     return _rising_edge(shape), -_rising_edge(mirrored)
 

@@ -3,7 +3,6 @@ import pytest
 import scipy
 
 from aokr.elliptic import (
-    SEPARATRIX_TOL,
     _pendulum_reference_batch,
     _wrap_angle,
     pendulum_step,
@@ -65,58 +64,65 @@ class TestPendulumStep:
         k = 10.0
         phi, rho = pendulum_step(-np.pi, 2 * np.sqrt(k), k, 0.01)
         assert np.isfinite(phi) and np.isfinite(rho)
+        # m = 1 exactly (k = 4): sin(theta/2) = tanh(2t) and rho = 4 sech(2t)
+        for dt in (1e-3, 0.3, 2.0):
+            phi, rho = pendulum_step(-np.pi, 4.0, 4.0, dt)
+            assert phi == pytest.approx(2 * np.arcsin(np.tanh(2 * dt)) - np.pi, abs=1e-14)
+            assert rho == pytest.approx(4 / np.cosh(2 * dt), abs=1e-14)
 
     def test_near_separatrix_matches_per_row_oracle(self):
         # |m - 1| log-uniform over both branches and both signs of rho,
         # with the start spread over the orbit.  Cephes ellipj switches
         # to an approximation for m >= 1 - 1e-10 that is wrong near
-        # u ~ K; the DOP853 band must cover that window.
-        rng = np.random.default_rng(4242)
-
-        def starts(m, s2, k):
+        # u ~ K; the kernel only evaluates it at u = rate * dt: engine-sized
+        # steps, then steps up to 0.05 (u up to about 1.3) on fewer rows.
+        def starts(rng, m, s2, k):
             # s2 = sin^2(theta/2) with theta the angle from the stable point
             half = rng.choice([-1.0, 1.0], m.size) * np.arcsin(np.sqrt(s2))
             rho = rng.choice([-1.0, 1.0], m.size) * 2.0 * np.sqrt(k * (m - s2))
             return _wrap_angle(2.0 * half + np.pi), rho
 
-        n = 1000
-        gap = 10.0 ** rng.uniform(-13.0, -6.0, n)
-        m = np.where(rng.random(n) < 0.5, 1.0 + gap, 1.0 - gap)
-        k = rng.uniform(1.0, 700.0, n)
-        dt = rng.uniform(1e-4, 2e-3, n)
-        phi, rho = starts(m, np.minimum(m, 1.0) * rng.random(n), k)
-        # librating rows next to the unstable point, where sn -> 1 and the
-        # start amplitude must be inverted without an ill-conditioned arcsin
-        lib_gap = 10.0 ** rng.uniform(-9.0, -6.0, n)  # 1 - m
-        kinetic = 10.0 ** rng.uniform(-8.0, -1.0, n) * lib_gap  # rho^2/(4k)
-        k_lib = rng.uniform(1.0, 700.0, n)
-        dt = np.concatenate([dt, rng.uniform(1e-4, 2e-3, n)])
-        phi_lib, rho_lib = starts(1.0 - lib_gap, 1.0 - lib_gap - kinetic, k_lib)
-        phi, rho, k = np.hstack([[phi, rho, k], [phi_lib, rho_lib, k_lib]])
-        n = phi.size
+        for n, dt_max in [(1000, 2e-3), (150, 0.05)]:
+            rng = np.random.default_rng(4242)
+            gap = 10.0 ** rng.uniform(-13.0, -6.0, n)
+            m = np.where(rng.random(n) < 0.5, 1.0 + gap, 1.0 - gap)
+            k = rng.uniform(1.0, 700.0, n)
+            dt = rng.uniform(1e-4, dt_max, n)
+            phi, rho = starts(rng, m, np.minimum(m, 1.0) * rng.random(n), k)
+            # librating rows next to the unstable point, where sn -> 1 and the
+            # start state must be read off without an ill-conditioned arcsin
+            lib_gap = 10.0 ** rng.uniform(-9.0, -6.0, n)  # 1 - m
+            kinetic = 10.0 ** rng.uniform(-8.0, -1.0, n) * lib_gap  # rho^2/(4k)
+            k_lib = rng.uniform(1.0, 700.0, n)
+            dt = np.concatenate([dt, rng.uniform(1e-4, dt_max, n)])
+            phi_lib, rho_lib = starts(rng, 1.0 - lib_gap, 1.0 - lib_gap - kinetic, k_lib)
+            phi, rho, k = np.hstack([[phi, rho, k], [phi_lib, rho_lib, k_lib]])
+            n = phi.size
 
-        p1, r1 = pendulum_step(phi, rho, k, dt)
-        p2 = np.empty(n)
-        r2 = np.empty(n)
-        for i in range(n):
-            row = slice(i, i + 1)
-            (p2[i],), (r2[i],) = _pendulum_reference_batch(phi[row], rho[row], k[row], dt[row])
-        dphi = np.max(np.abs(np.angle(np.exp(1j * (p1 - p2)))))
-        drho = np.max(np.abs(r1 - r2))
-        assert dphi < 1e-9 and drho < 1e-9, (
-            f"near-separatrix error phi {dphi:.2e}, rho {drho:.2e} with "
-            f"SEPARATRIX_TOL={SEPARATRIX_TOL:g}, scipy {scipy.__version__}: "
-            "Cephes ellipj switches to its m -> 1 approximation at "
-            "m >= 1 - 1e-10; if this scipy moved that switch, widen the band"
-        )
-        # a row's result does not depend on which rows share the call
-        p3, r3 = pendulum_step(phi[::2], rho[::2], k[::2], dt[::2])
-        assert np.array_equal(p3, p1[::2]) and np.array_equal(r3, r1[::2])
+            p1, r1 = pendulum_step(phi, rho, k, dt)
+            p2 = np.empty(n)
+            r2 = np.empty(n)
+            for i in range(n):
+                row = slice(i, i + 1)
+                (p2[i],), (r2[i],) = _pendulum_reference_batch(phi[row], rho[row], k[row], dt[row])
+            dphi = np.max(np.abs(np.angle(np.exp(1j * (p1 - p2)))))
+            drho = np.max(np.abs(r1 - r2))
+            assert dphi < 1e-9 and drho < 1e-9, (
+                f"near-separatrix error phi {dphi:.2e}, rho {drho:.2e} at steps up to "
+                f"{dt_max:g}, scipy {scipy.__version__}: Cephes ellipj switches to its "
+                "m -> 1 approximation at m >= 1 - 1e-10, accurate only at small u; "
+                "if this scipy moved that switch or lost that accuracy, the kernel "
+                "needs another way to evaluate ellipj(rate * dt, m) there"
+            )
+            # a row's result does not depend on which rows share the call
+            p3, r3 = pendulum_step(phi[::2], rho[::2], k[::2], dt[::2])
+            assert np.array_equal(p3, p1[::2]) and np.array_equal(r3, r1[::2])
 
-    def test_mixed_batch_matches_one_row_calls(self):
+    def test_mixed_batch_matches_one_row_calls(self, monkeypatch):
         # one call holding every kind of row, each with both signs of rho:
         # free (k = 0), the exact stable fixed point, libration, rotation
-        # and both sides of the separatrix band (at phi = -pi, m = rho^2/4k)
+        # and both sides of the separatrix within 1e-9 (at phi = -pi,
+        # m = rho^2/4k), all through the closed form: no row reaches DOP853
         rng = np.random.default_rng(808)
         k = 40.0
         edge = 2.0 * np.sqrt(k)
@@ -130,6 +136,14 @@ class TestPendulumStep:
             rows += [(-np.pi, sign * edge * (1.0 + g), k) for g in (-1e-11, 1e-11, -4e-10, 4e-10)]
         phi, rho, k_rate = np.array(rows).T
         dt = rng.uniform(1e-4, 2e-2, phi.size)
+        near = np.abs(np.abs(rho) / edge - 1.0) < 1e-9
+        assert np.count_nonzero(near) == 8
+        ref = [pendulum_step_reference(phi[i], rho[i], k_rate[i], dt[i]) for i in np.flatnonzero(near)]
+
+        def no_reference(*args):
+            raise AssertionError("the kernel reached the DOP853 reference")
+
+        monkeypatch.setattr("aokr.elliptic._pendulum_reference_batch", no_reference)
         p, r = pendulum_step(phi, rho, k_rate, dt)
         for i in range(phi.size):
             row = slice(i, i + 1)
@@ -140,10 +154,9 @@ class TestPendulumStep:
         assert rho[free].tobytes() == r[free].tobytes()
         fixed = (k_rate > 0) & (rho == 0.0)
         assert np.all(p[fixed] == -np.pi) and np.all(r[fixed] == 0.0)
-        band = np.abs(np.abs(rho) / edge - 1.0) < 1e-9
-        assert np.count_nonzero(band) == 8
-        for i in np.flatnonzero(band):
-            assert (p[i], r[i]) == pendulum_step_reference(phi[i], rho[i], k_rate[i], dt[i])
+        for i, (p_ref, r_ref) in zip(np.flatnonzero(near), ref):
+            assert abs(np.angle(np.exp(1j * (p[i] - p_ref)))) < 1e-12, i
+            assert abs(r[i] - r_ref) < 1e-12, i
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):

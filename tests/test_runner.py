@@ -106,12 +106,17 @@ class TestConfig:
             ("psi0_stop_deg", 400.0, dict(mode="phase_sweep")),
             ("psi0_step_deg", 0.0, dict(mode="phase_sweep")),
             ("psi0_prime_deg", 400.0, dict(mode="ratio_sweep", r_prime_values=(1.0,))),
+            # edges too slow for the default FWHM to reach the threshold
+            ("pulse_fwhm_ns", 396.0, dict(pulse_rise_ns=5000.0, pulse_fall_ns=5000.0)),
         ],
     )
     def test_out_of_range_in_context_rejected_naming_field(self, field, value, context):
+        cfg = fast_config(**{**context, field: value})
         with pytest.raises(ValueError) as info:
-            fast_config(**{**context, field: value}).validate()
+            cfg.validate()
         assert f"{field}: must" in str(info.value)
+        if "pulse_rise_ns" in context:  # the message gives the edges it blames
+            assert f"rise time {cfg.pulse_shape().rise_time:.4g}" in str(info.value)
 
     def test_ratio_sweep_requires_values(self):
         cfg = fast_config(mode="ratio_sweep", r_prime_values=())
