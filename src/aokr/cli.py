@@ -38,7 +38,9 @@ _FLAGS = [
     ("--r-prime", "r_prime_values", "comma-separated r' values (ratio sweep)"),
     ("--n-traj-classical", "n_traj_classical", "classical trajectories per point"),
     ("--n-traj-quantum", "n_traj_quantum", "quantum trajectories per point"),
-    ("--n-max", "n_max", "momentum ladder half size (power of two >= 64)"),
+    ("--n-max", "n_max",
+     "momentum ladder half size, a power of two >= 64 "
+     "(0 = smallest power of two >= 64 that holds the ensemble)"),
     ("--min-steps", "min_steps_per_pulse", "minimum grid steps per pulse"),
     ("--bin-width", "bin_width", "histogram bin width (recoils)"),
     ("--epsilon", "epsilon_zero_velocity", "zero-velocity window (recoils)"),
@@ -98,10 +100,11 @@ def main(argv=None):
     result = run(config)
     manifest = emit_outputs(result, config.output_dir)
     for row in result.rows:
+        grid = f" n_max={row.n_max}" if row.n_max else ""
         print(
             f"{result.sweep_parameter}={row.sweep_value:g} engine={row.engine} "
             f"E={row.energy:.4g}(+-{row.energy_stderr:.2g}) "
-            f"zvf={row.zero_velocity_fraction:.4g} lineshape={row.lineshape_class}"
+            f"zvf={row.zero_velocity_fraction:.4g} lineshape={row.lineshape_class}{grid}"
         )
     print(f"wrote {len(manifest)} files to {config.output_dir}")
     return 0

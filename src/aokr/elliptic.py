@@ -121,6 +121,13 @@ def pendulum_step(phi, rho, k_rate, dtau):
     wrapped to [-pi, pi).  Every row, the separatrix included, takes the
     same closed form: one ellipj call at rate * dtau and the addition
     theorem.
+
+    Near the separatrix the accuracy depends on u = rate * dtau.  Against
+    per-row DOP853 (k = 100, starts at the bottom with |m - 1| from 1e-13
+    to 1e-9) rows agree within 1e-13 for u <= 1.3, but only within 5.6e-9
+    at u = 12, near K ~ 12.9 at 1 - m = 1e-10, where Cephes ellipj
+    switches to its m -> 1 approximation.  The engines' grid steps keep u
+    at a few hundredths.
     """
     if np.any(_as_float_array(dtau) < 0):
         raise ValueError("dtau must be >= 0")

@@ -18,6 +18,15 @@ constituent pulse whatever the kick strengths, as the classical engine's
 one check per constituent pulse does.  Observables are equal-weight
 averages over trajectories.
 
+The ladder size is the ensemble's to choose: with n_max = 0 (the
+default) it starts on n_max = 64 and, while some row's population at the
+window edge crosses SETTLE_OCCUPATION_LIMIT, re-runs the whole ensemble
+on twice the grid, up to N_MAX_CEILING.  Dynamical localisation keeps
+the reach small, so most ensembles settle on the first grid.  An
+explicit n_max is the only grid tried.  On the last grid tried the edge
+limit is BOUNDARY_OCCUPATION_LIMIT, and crossing it raises
+GridOverflowError.
+
 The split step (_pulse_rows), the free phases (_free_phases) and the
 jump (_jump) each have one implementation: the chunked ensemble applies
 them to every row of a chunk, and kick_step, free_propagate and
@@ -36,9 +45,15 @@ from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
 from .streams import ENGINE_QUANTUM, draw_emission_pairs, trajectory_streams
 
-DEFAULT_N_MAX = 1024
+DEFAULT_N_MAX = 0  # 0 = choose the smallest grid that holds the ensemble
 DEFAULT_CHUNK_SIZE = 128
+# largest chosen n_max: a 128-row chunk then holds 128 x 16384 x 16 B = 32 MiB
+N_MAX_CEILING = 8192
 BOUNDARY_OCCUPATION_LIMIT = 1e-8
+# edge population a chosen grid below the ceiling may reach: grids that hold
+# the ensemble peak at the FFT rounding floor, 1e-30, and too-small ones at
+# 1e-16 and above, with energy errors from 3e-14 up
+SETTLE_OCCUPATION_LIMIT = 1e-20
 
 
 class GridOverflowError(ValueError):
@@ -60,6 +75,15 @@ def _check_n_max(n_max: int):
     """n_max must be a power of two >= 64 (grid size 2*n_max is FFT-friendly)."""
     if n_max < 64 or (n_max & (n_max - 1)) != 0:
         raise ValueError(f"n_max: must be a power of two >= 64, got {n_max}")
+
+
+def _grid_sizes(n_max: int):
+    """The n_max an ensemble tries, in order: the powers of two from 64
+    to N_MAX_CEILING for n_max = 0 (choose), else n_max alone."""
+    if n_max == 0:
+        return [64 << i for i in range((N_MAX_CEILING // 64).bit_length())]
+    _check_n_max(n_max)
+    return [n_max]
 
 
 def _free_phases(q, kbar: float, size: int, dtau: float) -> np.ndarray:
@@ -195,15 +219,18 @@ class QuantumEnsembleResult:
     distribution: MomentumDistribution
     energies: np.ndarray  # per-trajectory <(rho+q)^2>/2 in recoil units
     jump_counts: np.ndarray
+    n_max: int  # the ladder half size the ensemble ran on
 
 
 def _quantum_chunk(job):
-    """Evolve quantum trajectories lo..hi-1.
+    """Evolve quantum trajectories lo..hi-1 on a ladder of half size n_max.
 
-    Returns their energies, normalised populations (rows in FFT order),
-    momentum offsets q and jump counts.
+    Raises GridOverflowError at the first pulse where a row's population
+    at the window edge reaches the limit.  Returns their energies,
+    normalised populations (rows in FFT order), momentum offsets q and
+    jump counts.
     """
-    timeline, params, sweep_index, lo, hi, n_max = job
+    timeline, params, sweep_index, lo, hi, n_max, limit = job
     n_rows = hi - lo
     kbar = params.kbar
     n_pairs = timeline.n_res + 1  # at most one jump per resultant pulse
@@ -232,8 +259,8 @@ def _quantum_chunk(job):
             norms2[i] = 1.0
             jump_counts[i] += 1
         rel = np.abs(psi[:, n_max - 1 : n_max + 1]).max(axis=1) ** 2 / norms2
-        if np.any(rel >= BOUNDARY_OCCUPATION_LIMIT):
-            bad = int(np.argmax(rel >= BOUNDARY_OCCUPATION_LIMIT))
+        if np.any(rel >= limit):
+            bad = int(np.argmax(rel >= limit))
             raise GridOverflowError(
                 f"trajectory {lo + bad}: boundary occupation {rel[bad]:.3e} at pulse "
                 f"{p_idx}; increase n_max"
@@ -257,26 +284,41 @@ def run_mcwf_trajectories(
 ) -> QuantumEnsembleResult:
     """Run a quantum trajectory ensemble and average it incoherently.
 
-    Row i's momenta (in recoils) are n + q_i/kbar, so the histogram grid
-    is momentum_bin_grid(bin_width, n_max + 1 + max_i |q_i|/kbar) over
-    the rows' final offsets; at q = 0 it is momentum_bin_grid(bin_width,
-    n_max + 1).  Bit-identical for fixed (rng_seed, sweep_index)
-    regardless of n_workers and chunk_size: trajectory i draws everything
-    up front from its own stream (see run_classical_ensemble for the
-    chunking scheme), the grid depends on the whole ensemble only, and
-    the histogram adds the rows' populations one at a time in trajectory
-    order.
+    n_max = 0 chooses the grid (see the module docstring); the result
+    records the one used.  Row i's momenta (in recoils) are n + q_i/kbar,
+    so on the grid used the histogram spans momentum_bin_grid(bin_width,
+    n_max + 1 + max_i |q_i|/kbar) over the rows' final offsets; at q = 0
+    it is momentum_bin_grid(bin_width, n_max + 1).  Bit-identical for
+    fixed (rng_seed, sweep_index) regardless of n_workers and chunk_size:
+    trajectory i draws everything up front from its own stream (see
+    run_classical_ensemble for the chunking scheme), so a re-run on a
+    larger grid draws the same numbers; the grid and the histogram range
+    depend on the whole ensemble only; and the histogram adds the rows'
+    populations one at a time in trajectory order.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    _check_n_max(n_max)
-    jobs = [
-        (timeline, params, sweep_index, lo, hi, n_max) for lo, hi in chunk_bounds(n_traj, chunk_size)
-    ]
-    energies, weights, q, jump_counts = zip(*chunked_map(_quantum_chunk, jobs, n_workers))
-    n = _grids(2 * n_max)[0]
+    sizes = _grid_sizes(n_max)
+    bounds = chunk_bounds(n_traj, chunk_size)
+    for size in sizes:
+        last = size == sizes[-1]
+        limit = BOUNDARY_OCCUPATION_LIMIT if last else SETTLE_OCCUPATION_LIMIT
+        jobs = [(timeline, params, sweep_index, lo, hi, size, limit) for lo, hi in bounds]
+        try:
+            chunks = chunked_map(_quantum_chunk, jobs, n_workers)
+            break
+        except GridOverflowError as exc:
+            if not last:
+                continue  # the ensemble does not fit: re-run it on twice the grid
+            if n_max:
+                raise
+            raise GridOverflowError(
+                f"{exc} beyond the chosen grids' ceiling {size} with an explicit --n-max"
+            ) from None
+    energies, weights, q, jump_counts = zip(*chunks)
+    n = _grids(2 * size)[0]
     q = np.concatenate(q)
-    half_range = n_max + 1.0 + np.abs(q).max() / params.kbar
+    half_range = size + 1.0 + np.abs(q).max() / params.kbar
     centers, _ = momentum_bin_grid(bin_width, half_range)
     masses = np.zeros(len(centers))
     for w, q_i in zip(itertools.chain(*weights), q):
@@ -286,4 +328,5 @@ def run_mcwf_trajectories(
         distribution=dist,
         energies=np.concatenate(energies),
         jump_counts=np.concatenate(jump_counts),
+        n_max=size,
     )

@@ -31,7 +31,7 @@ from .pulse_train import (
     resolve_timeline,
     unit_pulse_area,
 )
-from .quantum_sim import DEFAULT_N_MAX, _check_n_max, run_mcwf_trajectories
+from .quantum_sim import DEFAULT_N_MAX, _grid_sizes, run_mcwf_trajectories
 
 MODE_PHASE_SWEEP = "phase_sweep"
 MODE_RATIO_SWEEP = "ratio_sweep"
@@ -90,7 +90,7 @@ class RunConfig:
     # numerics
     n_traj_classical: int = 10000
     n_traj_quantum: int = 1000
-    n_max: int = DEFAULT_N_MAX
+    n_max: int = DEFAULT_N_MAX  # 0 = choose the smallest grid that holds each ensemble
     min_steps_per_pulse: int = DEFAULT_MIN_STEPS
     bin_width: float = analysis.DEFAULT_BIN_WIDTH
     epsilon_zero_velocity: float = analysis.DEFAULT_EPSILON
@@ -107,8 +107,9 @@ class RunConfig:
         min_steps_per_pulse and epsilon_zero_velocity (their owners need a
         timeline or a distribution).  When those pass, the other rules come
         from building what the run builds: the pulse shape and its area, the
-        ensemble parameters, every sweep point's train spec, the n_max check
-        and the bin grid.  The first error raised is renamed to its config key.
+        ensemble parameters, every sweep point's train spec, the grids n_max
+        lets an ensemble try, and the bin grid.  The first error raised is
+        renamed to its config key.
         """
         problems = []
         for f in dataclasses.fields(self):
@@ -158,7 +159,7 @@ class RunConfig:
                 unit_pulse_area(self.pulse_shape())
                 self.ensemble_params()
                 list(sweep_points(self))
-                _check_n_max(self.n_max)
+                _grid_sizes(self.n_max)  # checks n_max
                 analysis.momentum_bin_grid(self.bin_width, 0.0)  # checks the bin width
             except ValueError as exc:
                 name, sep, rest = str(exc).partition(":")
@@ -245,6 +246,7 @@ class SweepRow:
     zero_velocity_fraction: float
     lineshape_class: str
     distribution: analysis.MomentumDistribution
+    n_max: int = 0  # the quantum ladder half size used (0 for classical rows)
 
 
 @dataclass
@@ -283,6 +285,7 @@ def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float
             )
             dist = analysis.MomentumDistribution.from_samples(momenta, config.bin_width)
             energies = momenta**2 / 2.0
+            n_max = 0
         else:
             result = run_mcwf_trajectories(
                 timeline,
@@ -293,7 +296,7 @@ def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float
                 n_workers=config.n_workers,
                 bin_width=config.bin_width,
             )
-            dist, energies = result.distribution, result.energies
+            dist, energies, n_max = result.distribution, result.energies, result.n_max
         rows.append(
             SweepRow(
                 sweep_value=sweep_value,
@@ -305,6 +308,7 @@ def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float
                 ),
                 lineshape_class=_classify_or_undetermined(dist),
                 distribution=dist,
+                n_max=n_max,
             )
         )
     return rows

@@ -74,8 +74,8 @@ def classical_energy(timeline, params, n_traj):
     return samples, energy(samples), energy_stderr(samples)
 
 
-def quantum_energy(timeline, params, n_traj, n_max=512):
-    result = run_mcwf_trajectories(timeline, params, n_traj, n_max=n_max, n_workers=WORKERS)
+def quantum_energy(timeline, params, n_traj):
+    result = run_mcwf_trajectories(timeline, params, n_traj, n_workers=WORKERS)
     return result, float(np.mean(result.energies)), mean_stderr(result.energies)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aokr import quantum_sim
 from aokr.analysis import energy, momentum_bin_grid
 from aokr.classical_sim import EnsembleParams, draw_momentum_and_kick_factor, run_classical_ensemble
 from aokr.pulse_train import (
@@ -12,6 +13,7 @@ from aokr.pulse_train import (
     single_train_spec,
 )
 from aokr.quantum_sim import (
+    BOUNDARY_OCCUPATION_LIMIT,
     GridOverflowError,
     Wavefunction,
     _grids,
@@ -351,7 +353,7 @@ class TestEnsemble:
         # at T = 0 only jumps move q
         n_traj, n_max = 16, 64
         params = params_with(eta_per_pulse=0.6, **cold)
-        q = _quantum_chunk((tl, params, 0, 0, n_traj, n_max))[2]
+        q = _quantum_chunk((tl, params, 0, 0, n_traj, n_max, BOUNDARY_OCCUPATION_LIMIT))[2]
         assert np.abs(q).max() > KBAR / 2
         dist = run_mcwf_trajectories(tl, params, n_traj, n_max=n_max).distribution
         momenta = _grids(2 * n_max)[0][None, :] + q[:, None] / KBAR
@@ -386,6 +388,83 @@ class TestEnsemble:
         cl = EnsembleParams(kbar=kbar, temperature_uk=0.5, cloud_sigma_mm=0.0, rng_seed=3)
         samples = run_classical_ensemble(tl, cl, 40000)
         rho2_classical = np.mean((samples * kbar) ** 2)
-        result = run_mcwf_trajectories(tl, cl, 600, n_max=512)
+        result = run_mcwf_trajectories(tl, cl, 600)
         rho2_quantum = np.mean(result.energies) * 2 * kbar**2
         assert rho2_quantum == pytest.approx(rho2_classical, rel=0.05)
+
+
+def root2_timeline(n_tot):
+    """r = sqrt(2), psi0 = 30 deg with the measured shape, and the ensemble
+    parameters the grid tests use.  At 30 kicks every row outgrows
+    n_max = 64 and fits 128; at 17 kicks 9 of the first 24 rows do."""
+    shape = PulseShapeParams.from_physical_ns(104.0, 121.0, 396.0, 30.0)
+    spec = build_train_spec(np.sqrt(2.0), 30.0 / 360.0, n_tot, 10.1, 10.1, shape, KBAR)
+    return resolve_timeline(spec), params_with(eta_per_pulse=0.028, rng_seed=7007)
+
+
+@pytest.fixture(scope="module")
+def wide_reach():
+    return root2_timeline(30)
+
+
+class TestGridChoice:
+    N_TRAJ = 24
+
+    def test_settles_on_smallest_grid_that_holds_the_ensemble(self, wide_reach):
+        tl, params = wide_reach
+        chosen = run_mcwf_trajectories(tl, params, self.N_TRAJ)
+        wide = run_mcwf_trajectories(tl, params, self.N_TRAJ, n_max=1024)
+        assert chosen.n_max == 128
+        assert wide.n_max == 1024
+        assert chosen.jump_counts.sum() > 0
+        assert np.array_equal(chosen.jump_counts, wide.jump_counts)
+        np.testing.assert_allclose(chosen.energies, wide.energies, rtol=1e-12, atol=0)
+
+    def test_chosen_grid_is_chunk_and_worker_invariant(self):
+        # only some rows outgrow n_max = 64, yet every row moves to 128,
+        # whichever rows share its chunk
+        tl, params = root2_timeline(17)
+        outgrow = []
+        for i in range(self.N_TRAJ):
+            try:
+                _quantum_chunk((tl, params, 0, i, i + 1, 64, quantum_sim.SETTLE_OCCUPATION_LIMIT))
+            except GridOverflowError:
+                outgrow.append(i)
+        assert 0 < len(outgrow) < self.N_TRAJ
+        a = run_mcwf_trajectories(tl, params, self.N_TRAJ, chunk_size=8)
+        for kw in (dict(chunk_size=1), dict(chunk_size=7), dict(chunk_size=96),
+                   dict(chunk_size=8, n_workers=3)):
+            b = run_mcwf_trajectories(tl, params, self.N_TRAJ, **kw)
+            assert b.n_max == a.n_max == 128, kw
+            assert np.array_equal(b.energies, a.energies), kw
+            assert np.array_equal(b.jump_counts, a.jump_counts), kw
+            assert np.array_equal(b.distribution.bin_centers, a.distribution.bin_centers), kw
+            assert np.array_equal(b.distribution.masses, a.distribution.masses), kw
+
+    def test_explicit_n_max_is_the_only_grid_tried(self, wide_reach):
+        # an explicit n_max runs once at the boundary limit, as before the
+        # grid could be chosen: n_max = 64 holds this ensemble to 1e-8
+        tl, params = wide_reach
+        result = run_mcwf_trajectories(tl, params, self.N_TRAJ, n_max=64, chunk_size=10)
+        assert result.n_max == 64
+        for lo, hi in ((0, 10), (10, 20), (20, self.N_TRAJ)):
+            job = (tl, params, 0, lo, hi, 64, BOUNDARY_OCCUPATION_LIMIT)
+            energies, _, _, jumps = _quantum_chunk(job)
+            assert np.array_equal(result.energies[lo:hi], energies)
+            assert np.array_equal(result.jump_counts[lo:hi], jumps)
+        settled = run_mcwf_trajectories(tl, params, self.N_TRAJ)
+        assert not np.array_equal(result.energies, settled.energies)
+
+    def test_overflow_at_the_ceiling_asks_for_an_explicit_n_max(self, monkeypatch):
+        # twice test_grid_overflow_detected's kick outgrows n_max = 64 and,
+        # at the boundary limit, a ceiling lowered to 128
+        monkeypatch.setattr(quantum_sim, "N_MAX_CEILING", 128)
+        spec = single_train_spec(10, 6.0, PulseShapeParams.square(0.016), 0.3)
+        tl = resolve_timeline(spec)
+        params = EnsembleParams(kbar=0.3, temperature_uk=1.0, cloud_sigma_mm=0.0, rng_seed=1)
+        with pytest.raises(GridOverflowError) as info:
+            run_mcwf_trajectories(tl, params, 2)
+        message = str(info.value)
+        assert "trajectory" in message
+        assert "ceiling 128" in message
+        assert "explicit --n-max" in message

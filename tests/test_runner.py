@@ -98,6 +98,11 @@ class TestConfig:
             fast_config(**{"cloud_sigma_mm": 0.5, field: value}).validate()
         assert f"{field}: must" in str(info.value)
 
+    def test_n_max_zero_chooses_and_is_valid(self):
+        # 0 means "choose", as kbar = 0 means "derive"
+        assert RunConfig().n_max == 0
+        fast_config(n_max=0).validate()
+
     @pytest.mark.parametrize(
         "field, value, context",
         [
@@ -351,6 +356,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "engine=classical" in out
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_quantum_row_reports_its_grid(self, tmp_path, capsys):
+        from aokr.cli import main
+
+        argv = ["single", "--engine", "both", "--n-traj-classical", "32", "--n-traj-quantum",
+                "4", "--n-tot", "3", "--cloud-sigma-mm", "0", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "chosen")]) == 0
+        assert main(argv + ["--n-max", "256", "--out", str(tmp_path / "fixed")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        classical = [line for line in lines if "engine=classical" in line]
+        quantum = [line for line in lines if "engine=quantum" in line]
+        assert all("n_max" not in line for line in classical)
+        assert quantum[0].endswith(" n_max=64")
+        assert quantum[1].endswith(" n_max=256")
 
     def test_config_file_plus_override(self, tmp_path):
         from aokr.cli import main
