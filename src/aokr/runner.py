@@ -246,7 +246,7 @@ class SweepRow:
     zero_velocity_fraction: float
     lineshape_class: str
     distribution: analysis.MomentumDistribution
-    n_max: int = 0  # the quantum ladder half size used (0 for classical rows)
+    n_max: int  # the quantum ladder half size used (0 for classical rows)
 
 
 @dataclass

@@ -402,16 +402,11 @@ def root2_timeline(n_tot):
     return resolve_timeline(spec), params_with(eta_per_pulse=0.028, rng_seed=7007)
 
 
-@pytest.fixture(scope="module")
-def wide_reach():
-    return root2_timeline(30)
-
-
 class TestGridChoice:
     N_TRAJ = 24
 
-    def test_settles_on_smallest_grid_that_holds_the_ensemble(self, wide_reach):
-        tl, params = wide_reach
+    def test_settles_on_smallest_grid_that_holds_the_ensemble(self):
+        tl, params = root2_timeline(30)
         chosen = run_mcwf_trajectories(tl, params, self.N_TRAJ)
         wide = run_mcwf_trajectories(tl, params, self.N_TRAJ, n_max=1024)
         assert chosen.n_max == 128
@@ -441,10 +436,10 @@ class TestGridChoice:
             assert np.array_equal(b.distribution.bin_centers, a.distribution.bin_centers), kw
             assert np.array_equal(b.distribution.masses, a.distribution.masses), kw
 
-    def test_explicit_n_max_is_the_only_grid_tried(self, wide_reach):
+    def test_explicit_n_max_is_the_only_grid_tried(self):
         # an explicit n_max runs once at the boundary limit, as before the
         # grid could be chosen: n_max = 64 holds this ensemble to 1e-8
-        tl, params = wide_reach
+        tl, params = root2_timeline(30)
         result = run_mcwf_trajectories(tl, params, self.N_TRAJ, n_max=64, chunk_size=10)
         assert result.n_max == 64
         for lo, hi in ((0, 10), (10, 20), (20, self.N_TRAJ)):
