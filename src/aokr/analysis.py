@@ -1,10 +1,10 @@
 """Observables: energies, zero-velocity fractions, lineshape classes, spectra.
 
 Momentum is everywhere in two-photon-recoil units (rho / kbar); energy is
-<n^2>/2 in those units.  One binning routine, bin_momenta, builds every
-momentum histogram: the classical engine's samples (through
-MomentumDistribution.from_samples) and the quantum engine's weighted
-ladder populations alike.  This module imports no engine.
+<n^2>/2 in those units.  One binning routine,
+MomentumDistribution.from_samples, builds every momentum histogram: the
+classical engine's samples and the quantum engine's ladders weighted by
+their populations alike.  This module imports no engine.
 """
 
 import math
@@ -35,23 +35,6 @@ def momentum_bin_grid(bin_width: float, half_range: float):
     return centers, edges
 
 
-def bin_momenta(momenta, bin_width: float, half_range: float, weights=None):
-    """Sum weights (default 1 each) of momenta, any shape, into the bins of
-    momentum_bin_grid(bin_width, half_range).
-
-    Bins are half-open, [edge_i, edge_i+1), and every momentum must lie
-    inside the grid.  Entries are added in the order of momenta.ravel(),
-    so rows are summed in row order and both tails keep their mass alike.
-    Returns (centers, sums).
-    """
-    centers, edges = momentum_bin_grid(bin_width, half_range)
-    idx = np.searchsorted(edges, momenta, side="right")
-    idx -= 1
-    if weights is not None:
-        weights = np.ravel(weights)
-    return centers, np.bincount(idx.ravel(), weights, minlength=len(centers))
-
-
 @dataclass(frozen=True)
 class MomentumDistribution:
     """Normalised histogram on a uniform momentum grid."""
@@ -80,13 +63,28 @@ class MomentumDistribution:
         return float(self.bin_centers[1] - self.bin_centers[0])
 
     @classmethod
-    def from_samples(cls, values, bin_width: float = DEFAULT_BIN_WIDTH):
+    def from_samples(cls, values, bin_width: float = DEFAULT_BIN_WIDTH, weights=None):
+        """Histogram of one row per trajectory: a classical engine's final
+        momenta, or a quantum engine's ladders n + q_i/kbar weighted by their
+        normalised populations.
+
+        Half-open bins of momentum_bin_grid(bin_width, max|value| +
+        bin_width); masses are the summed weights over len(values), the
+        trajectory count.  One bincount adds the entries in row order, so
+        both tails keep their mass alike; and as no two entries of a ladder
+        (one recoil apart) share a bin of width <= 1, each mass is exactly
+        what folding the rows' own histograms one at a time would give.
+        """
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             raise ValueError("no samples")
-        half = max(float(np.max(np.abs(values))) + bin_width, bin_width)
-        centers, counts = bin_momenta(values, bin_width, half)
-        return cls(bin_centers=centers, masses=counts / values.size)
+        centers, edges = momentum_bin_grid(bin_width, float(np.max(np.abs(values))) + bin_width)
+        idx = np.searchsorted(edges, values.ravel(), side="right")
+        idx -= 1
+        if weights is not None:
+            weights = np.ravel(weights)
+        sums = np.bincount(idx, weights, minlength=len(centers))
+        return cls(bin_centers=centers, masses=sums / len(values))
 
     def save_csv(self, path):
         w = self.bin_width

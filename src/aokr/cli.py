@@ -3,6 +3,7 @@
 import argparse
 import sys
 
+from .quantum_sim import GridOverflowError
 from .runner import (
     MODE_PHASE_SWEEP,
     MODE_RATIO_SWEEP,
@@ -97,7 +98,10 @@ def main(argv=None):
     except (ValueError, OSError) as exc:  # an OSError names the unreadable --config path
         parser.error(str(exc))
 
-    result = run(config)
+    try:
+        result = run(config)
+    except GridOverflowError as exc:  # a grid too small for the run's ensemble
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
     manifest = emit_outputs(result, config.output_dir)
     for row in result.rows:
         grid = f" n_max={row.n_max}" if row.n_max else ""

@@ -15,8 +15,10 @@ end of each resultant pulse; below the threshold the trajectory jumps:
 the recoil, uniform in [-kbar/2, kbar/2), is added to q and the state is
 renormalised.  The decay emits with probability about eta per
 constituent pulse whatever the kick strengths, as the classical engine's
-one check per constituent pulse does.  Observables are equal-weight
-averages over trajectories.
+one check per constituent pulse does.  An ensemble returns each row's
+ladder momenta n + q/kbar and normalised populations; the analysis layer
+bins them, as it bins the classical engine's samples, into an
+equal-weight average over trajectories.
 
 The ladder size is the ensemble's to choose: with n_max = 0 (the
 default) it starts on n_max = 64 and, while some row's population at the
@@ -33,13 +35,11 @@ them to every row of a chunk, and kick_step, free_propagate and
 mcwf_check_jump to a single row.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .analysis import DEFAULT_BIN_WIDTH, MomentumDistribution, bin_momenta, momentum_bin_grid
 from .classical_sim import EnsembleParams, draw_momentum_and_kick_factor
 from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
@@ -214,9 +214,12 @@ def mcwf_check_jump(psi: Wavefunction, threshold: float, u: float):
 
 @dataclass(frozen=True)
 class QuantumEnsembleResult:
-    """Equal-weight trajectory average plus per-trajectory diagnostics."""
+    """Per-trajectory ladders, populations and diagnostics.  The ensemble's
+    momentum distribution is MomentumDistribution.from_samples(momenta,
+    bin_width, weights)."""
 
-    distribution: MomentumDistribution
+    momenta: np.ndarray  # (n_traj, 2 n_max): row i is n + q_i/kbar in recoils, FFT order
+    weights: np.ndarray  # (n_traj, 2 n_max): each row's normalised populations
     energies: np.ndarray  # per-trajectory <(rho+q)^2>/2 in recoil units
     jump_counts: np.ndarray
     n_max: int  # the ladder half size the ensemble ran on
@@ -280,21 +283,16 @@ def run_mcwf_trajectories(
     sweep_index: int = 0,
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> QuantumEnsembleResult:
-    """Run a quantum trajectory ensemble and average it incoherently.
+    """Run a quantum trajectory ensemble; return each row's final ladder
+    momenta (n + q_i/kbar, in recoils), populations, energy and jump count.
 
     n_max = 0 chooses the grid (see the module docstring); the result
-    records the one used.  Row i's momenta (in recoils) are n + q_i/kbar,
-    so on the grid used the histogram spans momentum_bin_grid(bin_width,
-    n_max + 1 + max_i |q_i|/kbar) over the rows' final offsets; at q = 0
-    it is momentum_bin_grid(bin_width, n_max + 1).  Bit-identical for
-    fixed (rng_seed, sweep_index) regardless of n_workers and chunk_size:
-    trajectory i draws everything up front from its own stream (see
-    run_classical_ensemble for the chunking scheme), so a re-run on a
-    larger grid draws the same numbers; the grid and the histogram range
-    depend on the whole ensemble only; and the histogram adds the rows'
-    populations one at a time in trajectory order.
+    records the one used.  Bit-identical for fixed (rng_seed, sweep_index)
+    regardless of n_workers and chunk_size: trajectory i draws everything
+    up front from its own stream (see run_classical_ensemble for the
+    chunking scheme), so a re-run on a larger grid draws the same numbers,
+    and the grid depends on the whole ensemble only.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -315,18 +313,11 @@ def run_mcwf_trajectories(
             raise GridOverflowError(
                 f"{exc} beyond the chosen grids' ceiling {size} with an explicit --n-max"
             ) from None
-    energies, weights, q, jump_counts = zip(*chunks)
-    n = _grids(2 * size)[0]
-    q = np.concatenate(q)
-    half_range = size + 1.0 + np.abs(q).max() / params.kbar
-    centers, _ = momentum_bin_grid(bin_width, half_range)
-    masses = np.zeros(len(centers))
-    for w, q_i in zip(itertools.chain(*weights), q):
-        masses += bin_momenta(n + q_i / params.kbar, bin_width, half_range, w)[1]
-    dist = MomentumDistribution(bin_centers=centers, masses=masses / n_traj)
+    energies, weights, q, jump_counts = (np.concatenate(x) for x in zip(*chunks))
     return QuantumEnsembleResult(
-        distribution=dist,
-        energies=np.concatenate(energies),
-        jump_counts=np.concatenate(jump_counts),
+        momenta=_grids(2 * size)[0] + q[:, None] / params.kbar,
+        weights=weights,
+        energies=energies,
+        jump_counts=jump_counts,
         n_max=size,
     )

@@ -269,8 +269,9 @@ def _classify_or_undetermined(dist):
 def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float):
     """Run the selected engines on one resolved timeline.
 
-    Each engine yields a momentum distribution and per-trajectory
-    energies; every row is reduced from those two the same way.
+    Each engine yields per-trajectory momenta (one sample per classical
+    trajectory, a weighted ladder per quantum one) and energies; every row
+    is reduced from those the same way.
     """
     rows = []
     params = config.ensemble_params()
@@ -283,20 +284,18 @@ def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float
                 sweep_index=sweep_index,
                 n_workers=config.n_workers,
             )
-            dist = analysis.MomentumDistribution.from_samples(momenta, config.bin_width)
-            energies = momenta**2 / 2.0
-            n_max = 0
+            weights, energies, n_max = None, momenta**2 / 2.0, 0
         else:
-            result = run_mcwf_trajectories(
+            r = run_mcwf_trajectories(
                 timeline,
                 params,
                 config.n_traj_quantum,
                 n_max=config.n_max,
                 sweep_index=sweep_index,
                 n_workers=config.n_workers,
-                bin_width=config.bin_width,
             )
-            dist, energies, n_max = result.distribution, result.energies, result.n_max
+            momenta, weights, energies, n_max = r.momenta, r.weights, r.energies, r.n_max
+        dist = analysis.MomentumDistribution.from_samples(momenta, config.bin_width, weights)
         rows.append(
             SweepRow(
                 sweep_value=sweep_value,

@@ -86,3 +86,25 @@ def dense_kick_propagator(
 def to_natural_order(c_fft: np.ndarray) -> np.ndarray:
     """FFT ladder order -> natural order n = -n_max .. n_max-1."""
     return np.fft.fftshift(c_fft)
+
+
+def per_row_fold(momenta, weights, bin_width: float):
+    """Momentum histogram of quantum ladders folded one row at a time.
+
+    Row i of momenta is a ladder n + q_i/kbar in FFT order, so its first
+    entry (n = 0) is q_i/kbar.  The grid is centred on zero and spans
+    n_max + 1 + max_i |q_i|/kbar; each row is binned on its own (searchsorted
+    into half-open bins, then bincount) and its bin sums are added to the
+    total in row order.  Returns (centers, masses / n_rows).
+    """
+    momenta = np.asarray(momenta, dtype=float)
+    n_rows, size = momenta.shape
+    half_range = size // 2 + 1.0 + np.abs(momenta[:, 0]).max()
+    n_half = int(math.ceil(half_range / bin_width))
+    centers = np.arange(-n_half, n_half + 1) * bin_width
+    edges = (np.arange(-n_half, n_half + 2) - 0.5) * bin_width
+    masses = np.zeros(len(centers))
+    for row, w in zip(momenta, weights):
+        idx = np.searchsorted(edges, row, side="right") - 1
+        masses += np.bincount(idx, w, minlength=len(centers))
+    return centers, masses / n_rows

@@ -79,6 +79,10 @@ def quantum_energy(timeline, params, n_traj):
     return result, float(np.mean(result.energies)), mean_stderr(result.energies)
 
 
+def quantum_distribution(result):
+    return MomentumDistribution.from_samples(result.momenta, weights=result.weights)
+
+
 def test_criterion_1_elliptic_correctness():
     rng = np.random.default_rng(1001)
     u = rng.uniform(-30.0, 30.0, 100000)
@@ -208,7 +212,7 @@ def test_criterion_4_dynamical_localisation(rational_point):
     cl_class = classify_lineshape(
         MomentumDistribution.from_samples(samples)
     ).lineshape_class
-    q_class = classify_lineshape(q_result.distribution).lineshape_class
+    q_class = classify_lineshape(quantum_distribution(q_result)).lineshape_class
     ok = (
         gap_sigmas > 3.0
         and q_class == LINESHAPE_EXPONENTIAL
@@ -275,7 +279,7 @@ def test_criterion_7_irrational_ratio_flatness(rational_point):
         combined = math.sqrt(se_cl**2 + se_q**2)
         gap = e_q - e_cl
         rel = (abs(gap) + 2.0 * combined) / e_cl
-        q_class = classify_lineshape(q_result.distribution).lineshape_class
+        q_class = classify_lineshape(quantum_distribution(q_result)).lineshape_class
         classes.append(q_class)
         details.append(
             f"psi0={psi0:.0f}: dE={gap:+.2f} ({gap / combined:+.2f} sigma, rel {rel:.3f})"
@@ -303,7 +307,7 @@ def test_criterion_8_zero_velocity_peaks():
             dist = MomentumDistribution.from_samples(samples)
         else:
             result, _, _ = quantum_energy(tl, params, 1000)
-            dist = result.distribution
+            dist = quantum_distribution(result)
         return zero_velocity_fraction(dist, epsilon)
 
     cl_rational = zvf_for("classical", 1.0, 52.0, 8008)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aokr import quantum_sim
-from aokr.analysis import energy, momentum_bin_grid
+from aokr.analysis import MomentumDistribution, energy, momentum_bin_grid
 from aokr.classical_sim import EnsembleParams, draw_momentum_and_kick_factor, run_classical_ensemble
 from aokr.pulse_train import (
     PulseShapeParams,
@@ -26,7 +26,7 @@ from aokr.quantum_sim import (
     run_mcwf_trajectories,
 )
 from aokr.streams import ENGINE_QUANTUM, trajectory_stream
-from oracles import dense_kick_propagator, to_natural_order
+from oracles import dense_kick_propagator, per_row_fold, to_natural_order
 
 KBAR = 3.12
 
@@ -272,7 +272,8 @@ class TestEnsemble:
         # energies must match the initial thermal draw
         sigma = params.sigma_n
         assert np.mean(result.energies) == pytest.approx(sigma**2 / 2, rel=0.15)
-        assert energy(result.distribution) == pytest.approx(sigma**2 / 2, rel=0.15)
+        dist = MomentumDistribution.from_samples(result.momenta, 0.5, result.weights)
+        assert energy(dist) == pytest.approx(sigma**2 / 2, rel=0.15)
 
     def test_worker_count_invariance(self):
         spec = single_train_spec(4, 10.1, PulseShapeParams.square(0.016), KBAR)
@@ -280,19 +281,13 @@ class TestEnsemble:
         params = params_with(eta_per_pulse=0.028, rng_seed=8)
         a = run_mcwf_trajectories(tl, params, 96, n_max=128, n_workers=1, chunk_size=32)
         b = run_mcwf_trajectories(tl, params, 96, n_max=128, n_workers=3, chunk_size=32)
-        assert np.array_equal(a.energies, b.energies)
-        assert np.array_equal(a.distribution.masses, b.distribution.masses)
-        assert np.array_equal(a.jump_counts, b.jump_counts)
-        # a row's result does not depend on which rows share its chunk, and
-        # the histogram adds the rows one at a time in trajectory order, not
-        # per chunk, so the masses are bit-identical too
+        for field in ("momenta", "weights", "energies", "jump_counts"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        # a row's result does not depend on which rows share its chunk
         for chunk_size in (1, 7, 96):
             c = run_mcwf_trajectories(tl, params, 96, n_max=128, chunk_size=chunk_size)
-            assert np.array_equal(c.energies, a.energies), f"chunk_size={chunk_size}"
-            assert np.array_equal(c.jump_counts, a.jump_counts), f"chunk_size={chunk_size}"
-            assert np.array_equal(
-                c.distribution.masses, a.distribution.masses
-            ), f"chunk_size={chunk_size}"
+            for field in ("momenta", "weights", "energies", "jump_counts"):
+                assert np.array_equal(getattr(c, field), getattr(a, field)), (field, chunk_size)
 
     def test_both_histogram_tails_keep_their_mass(self):
         # the populations far out on either side are ~1e-31; binning must
@@ -300,7 +295,8 @@ class TestEnsemble:
         shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
         tl = resolve_timeline(single_train_spec(3, 10.1, shape, KBAR))
         params = params_with(eta_per_pulse=0.028, rng_seed=7)
-        dist = run_mcwf_trajectories(tl, params, 8, n_max=64).distribution
+        result = run_mcwf_trajectories(tl, params, 8, n_max=64)
+        dist = MomentumDistribution.from_samples(result.momenta, 0.5, result.weights)
         far = 32.0
         low = dist.masses[dist.bin_centers < -far].sum()
         high = dist.masses[dist.bin_centers > far].sum()
@@ -343,19 +339,22 @@ class TestEnsemble:
 
     def test_histogram_grid_covers_every_row_offset(self):
         # a row's momenta are n + q/kbar with q its own final offset, so the
-        # grid widens by max |q|/kbar; at q = 0 it is the zero-centred one
+        # grid widens by max |q|/kbar; at q = 0 the ladder n in [-64, 64)
+        # spans 64 + one bin width
         shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
         tl = resolve_timeline(build_train_spec(1.0, 0.0, 6, 10.1, 10.1, shape, KBAR))
         cold = dict(temperature_uk=0.0, rng_seed=2)
         at_rest = run_mcwf_trajectories(tl, params_with(eta_per_pulse=0.0, **cold), 4, n_max=64)
-        assert np.array_equal(at_rest.distribution.bin_centers, momentum_bin_grid(0.5, 65)[0])
+        dist = MomentumDistribution.from_samples(at_rest.momenta, 0.5, at_rest.weights)
+        assert np.array_equal(dist.bin_centers, momentum_bin_grid(0.5, 64.5)[0])
 
         # at T = 0 only jumps move q
         n_traj, n_max = 16, 64
         params = params_with(eta_per_pulse=0.6, **cold)
         q = _quantum_chunk((tl, params, 0, 0, n_traj, n_max, BOUNDARY_OCCUPATION_LIMIT))[2]
         assert np.abs(q).max() > KBAR / 2
-        dist = run_mcwf_trajectories(tl, params, n_traj, n_max=n_max).distribution
+        result = run_mcwf_trajectories(tl, params, n_traj, n_max=n_max)
+        dist = MomentumDistribution.from_samples(result.momenta, 0.5, result.weights)
         momenta = _grids(2 * n_max)[0][None, :] + q[:, None] / KBAR
         half_bin = 0.25
         assert dist.bin_centers[0] - half_bin <= momenta.min()
@@ -431,10 +430,27 @@ class TestGridChoice:
                    dict(chunk_size=8, n_workers=3)):
             b = run_mcwf_trajectories(tl, params, self.N_TRAJ, **kw)
             assert b.n_max == a.n_max == 128, kw
-            assert np.array_equal(b.energies, a.energies), kw
-            assert np.array_equal(b.jump_counts, a.jump_counts), kw
-            assert np.array_equal(b.distribution.bin_centers, a.distribution.bin_centers), kw
-            assert np.array_equal(b.distribution.masses, a.distribution.masses), kw
+            for field in ("momenta", "weights", "energies", "jump_counts"):
+                assert np.array_equal(getattr(b, field), getattr(a, field)), (field, kw)
+
+    def test_one_bincount_matches_the_per_row_fold(self):
+        # binning every ladder in one call adds the same entries in the same
+        # order as folding the rows one at a time: at bin width 0.5 no two
+        # entries of a row share a bin.  The fold's wider grid adds only
+        # empty edge bins.
+        tl, params = root2_timeline(17)
+        result = run_mcwf_trajectories(tl, params, self.N_TRAJ)
+        assert result.jump_counts.sum() > 0
+        assert np.ptp(result.momenta[:, 0]) > 1.0  # the rows' offsets q/kbar spread
+        dist = MomentumDistribution.from_samples(result.momenta, 0.5, result.weights)
+        centers, masses = per_row_fold(result.momenta, result.weights, 0.5)
+        extra = (len(centers) - len(dist.bin_centers)) // 2
+        assert extra > 0
+        shared = slice(extra, len(centers) - extra)
+        assert np.array_equal(centers[shared], dist.bin_centers)
+        assert np.array_equal(masses[shared], dist.masses)
+        assert np.all(masses[:extra] == 0.0)
+        assert np.all(masses[shared.stop:] == 0.0)
 
     def test_explicit_n_max_is_the_only_grid_tried(self):
         # an explicit n_max runs once at the boundary limit, as before the

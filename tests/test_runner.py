@@ -371,6 +371,31 @@ class TestCli:
         assert quantum[0].endswith(" n_max=64")
         assert quantum[1].endswith(" n_max=256")
 
+    def test_grid_overflow_exits_with_one_line_error(self, tmp_path):
+        # an explicit n_max too small for the kicks only shows once the
+        # ensemble runs: exit 1 with the engine's message, no traceback
+        import subprocess
+        import sys
+
+        import aokr
+
+        out = tmp_path / "out"
+        argv = ["single", "--engine", "quantum", "--n-max", "64", "--kbar", "0.3",
+                "--kappa", "6", "--n-tot", "10", "--temperature-uk", "1",
+                "--cloud-sigma-mm", "0", "--n-traj-quantum", "2", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "aokr.cli", *argv],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aokr.__file__))},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("aokr: error: trajectory ")
+        assert "n_max" in line
+        assert not out.exists()
+
     def test_config_file_plus_override(self, tmp_path):
         from aokr.cli import main
 
