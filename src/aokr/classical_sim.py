@@ -181,11 +181,12 @@ def run_classical_ensemble(
     Deterministic for a fixed (rng_seed, sweep_index) regardless of
     n_workers and chunk_size: trajectory i always draws from its own
     stream, each chunk is computed as one vectorised unit, and the chunks
-    are concatenated in order.
+    are concatenated in order.  A chunk holds at most chunk_size rows,
+    and the rows are cut into at least n_workers chunks
+    (parallel.chunk_bounds).
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    jobs = [
-        (timeline, params, sweep_index, lo, hi) for lo, hi in chunk_bounds(n_traj, chunk_size)
-    ]
+    bounds = chunk_bounds(n_traj, chunk_size, n_workers)
+    jobs = [(timeline, params, sweep_index, lo, hi) for lo, hi in bounds]
     return np.concatenate(chunked_map(_classical_chunk, jobs, n_workers))

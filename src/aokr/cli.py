@@ -46,7 +46,7 @@ _FLAGS = [
     ("--bin-width", "bin_width", "histogram bin width (recoils)"),
     ("--epsilon", "epsilon_zero_velocity", "zero-velocity window (recoils)"),
     ("--seed", "seed", "base random seed"),
-    ("--workers", "n_workers", "worker processes"),
+    ("--workers", "n_workers", "worker processes (results do not depend on it)"),
     ("--out", "output_dir", "output directory"),
 ]
 

@@ -297,7 +297,7 @@ def run_mcwf_trajectories(
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     sizes = _grid_sizes(n_max)
-    bounds = chunk_bounds(n_traj, chunk_size)
+    bounds = chunk_bounds(n_traj, chunk_size, n_workers)
     for size in sizes:
         last = size == sizes[-1]
         limit = BOUNDARY_OCCUPATION_LIMIT if last else SETTLE_OCCUPATION_LIMIT

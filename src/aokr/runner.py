@@ -23,6 +23,7 @@ import numpy as np
 from . import analysis
 from .classical_sim import EnsembleParams, run_classical_ensemble
 from .constants import kbar_for_period
+from .parallel import worker_pool
 from .pulse_train import (
     DEFAULT_MIN_STEPS,
     DEFAULT_ON_THRESHOLD,
@@ -347,12 +348,22 @@ def sweep_points(config: RunConfig):
 
 
 def run(config: RunConfig) -> SweepResult:
-    """Validate the config, then run its engines on each sweep point in order."""
+    """Validate the config, then run its engines on each sweep point in order.
+
+    Every ensemble of the run maps its chunks over one worker pool of
+    min(n_workers, largest ensemble) processes, opened here and shut down,
+    its workers joined, before this returns or raises.
+    """
     config.validate()
+    largest = max(
+        config.n_traj_classical if engine == ENGINE_CLASSICAL else config.n_traj_quantum
+        for engine in config.engines()
+    )
     rows = []
-    for idx, (sweep_value, spec) in enumerate(sweep_points(config)):
-        timeline = resolve_timeline(spec, config.min_steps_per_pulse)
-        rows.extend(_run_point(config, timeline, idx, sweep_value))
+    with worker_pool(min(config.n_workers, largest)):
+        for idx, (sweep_value, spec) in enumerate(sweep_points(config)):
+            timeline = resolve_timeline(spec, config.min_steps_per_pulse)
+            rows.extend(_run_point(config, timeline, idx, sweep_value))
     return SweepResult(rows=rows, config=config)
 
 
