@@ -25,7 +25,7 @@ from .classical_sim import (
     sample_initial_classical,
 )
 from .constants import kbar_for_period, thermal_sigma_recoils
-from .elliptic import pendulum_step, pendulum_step_reference
+from .elliptic import pendulum_step
 from .pulse_train import (
     PulseShapeParams,
     ResolvedTimeline,
@@ -80,7 +80,6 @@ __all__ = [
     "mcwf_check_jump",
     "normalize_height",
     "pendulum_step",
-    "pendulum_step_reference",
     "pulse_envelope",
     "resolve_timeline",
     "run",

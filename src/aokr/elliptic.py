@@ -15,11 +15,15 @@ near u ~ K (at 1 - m = 1e-10 it gives cn(2K) = -2 instead of -1), but
 it is accurate at small u, and a step only evaluates it at u = rate *
 dtau, never at u0, so no row needs another integrator.
 
+ellipj is imported on the classical path only, inside the kernel, so a
+quantum-only run loads no scipy; a run with the classical engine loads
+scipy.special in the parent before its worker pool forks (runner.run),
+so the workers inherit it instead of each importing it again.
+
 All functions accept scalars or numpy arrays and broadcast.
 """
 
 import numpy as np
-from scipy.special import ellipj
 
 
 def _as_float_array(x):
@@ -31,52 +35,10 @@ def _wrap_angle(phi):
     return np.mod(phi + np.pi, 2.0 * np.pi) - np.pi
 
 
-def pendulum_step_reference(phi, rho, k_rate, dtau):
-    """Stepped reference propagator for H = rho^2/2 + k cos(phi).
-
-    Adaptive 8th-order explicit Runge-Kutta (DOP853) at local tolerance
-    1e-12.  The test oracle for the closed-form step; no engine path
-    calls it.
-    """
-    out_phi, out_rho = _pendulum_reference_batch(
-        np.atleast_1d(_as_float_array(phi)),
-        np.atleast_1d(_as_float_array(rho)),
-        np.atleast_1d(_as_float_array(k_rate)),
-        np.atleast_1d(_as_float_array(dtau)),
-    )
-    if np.ndim(phi) == 0:
-        return float(out_phi[0]), float(out_rho[0])
-    return out_phi, out_rho
-
-
-def _pendulum_reference_batch(phi, rho, k_rate, dtau):
-    """Vectorised DOP853 reference: many independent pendula in one system.
-
-    Per-element durations are absorbed by rescaling time to s in [0, 1],
-    dy_i/ds = dtau_i * f(y_i), so a single adaptive solve covers all rows.
-    """
-    from scipy.integrate import solve_ivp
-
-    phi, rho, k_rate, dtau = np.broadcast_arrays(phi, rho, k_rate, dtau)
-    n = phi.size
-    y0 = np.concatenate([phi.ravel(), rho.ravel()])
-    k_flat = np.asarray(k_rate, dtype=float).ravel()
-    d_flat = np.asarray(dtau, dtype=float).ravel()
-
-    def rhs(s, y):
-        ph = y[:n]
-        rh = y[n:]
-        return np.concatenate([d_flat * rh, d_flat * k_flat * np.sin(ph)])
-
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-12)
-    if not sol.success:
-        raise RuntimeError(f"reference pendulum integration failed: {sol.message}")
-    yf = sol.y[:, -1]
-    return _wrap_angle(yf[:n].reshape(phi.shape)), yf[n:].reshape(phi.shape)
-
-
 def _pendulum_step_arrays(phi, rho, k_rate, dtau):
     """Exact pendulum flow on arrays; see pendulum_step for the contract."""
+    from scipy.special import ellipj  # a dict lookup once scipy.special is loaded
+
     phi, rho, k, dt = np.broadcast_arrays(*map(_as_float_array, (phi, rho, k_rate, dtau)))
     free = k <= 0.0
     # free rows (k = 0) run through the closed form as inf/nan and are

@@ -9,7 +9,9 @@ m = 0, ..., M-1.  Each pulse carries the same empirical envelope
 with t2 - t1 the FWHM; the pulse is deemed on only where the envelope
 exceeds a threshold fraction of k_max (10% by default) and is zero
 elsewhere.  Both edges of that on window come from one bisection (the
-falling edge is the rising edge of the mirrored shape).  k_max is
+falling edge is the rising edge of the mirrored shape), bracketed in
+closed form.  erf is math.erf applied elementwise, so building a
+timeline, or validating a config, loads no scipy.  k_max is
 normalised so that the on-window area equals the kick strength kappa.
 Overlapping pulses add pointwise, so a resolved timeline can contain
 fewer, taller or longer resultant pulses than the two trains supplied;
@@ -21,10 +23,12 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, erfcinv
 
 DEFAULT_ON_THRESHOLD = 0.10
 DEFAULT_MIN_STEPS = 16
+
+# elementwise math.erf: the timeline's erf without loading scipy
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -161,11 +165,11 @@ def _raw_envelope(t_rel, shape: PulseShapeParams):
     # a tiny rise or fall time sends the erf argument to +-inf: erf is then +-1
     with np.errstate(over="ignore", divide="ignore"):
         if shape.rise_time > 0:
-            up = erf((t_rel - t1) * math.sqrt(math.pi) / shape.rise_time)
+            up = _erf((t_rel - t1) * math.sqrt(math.pi) / shape.rise_time)
         else:
             up = np.sign(t_rel - t1)
         if shape.fall_time > 0:
-            down = erf((t_rel - t2) * math.sqrt(math.pi) / shape.fall_time)
+            down = _erf((t_rel - t2) * math.sqrt(math.pi) / shape.fall_time)
         else:
             down = np.sign(t_rel - t2)
     return 0.5 * (up - down)
@@ -179,7 +183,7 @@ def _erf_antiderivative(x, delta):
     if c == math.inf:
         return np.abs(x)
     with np.errstate(over="ignore", divide="ignore"):  # exp(-inf) = 0
-        return x * erf(c * x) + (delta / math.pi) * np.exp(-((c * x) ** 2))
+        return x * _erf(c * x) + (delta / math.pi) * np.exp(-((c * x) ** 2))
 
 
 def _window_area(shape: PulseShapeParams, a: float, b: float) -> float:
@@ -191,20 +195,32 @@ def _window_area(shape: PulseShapeParams, a: float, b: float) -> float:
     return 0.5 * float(up - down)
 
 
+def _edge_bracket(shape: PulseShapeParams) -> float:
+    """Lower bracket of the rising edge: the envelope there is at most half the threshold.
+
+    The falling erf only lowers the envelope, so it is at most erfc(x)/2
+    with x the rising erf's argument counted back from its half-maximum
+    point.  erfc(x) <= exp(-x^2) for x >= 0, so x = sqrt(ln(1/thr)) gives
+    at most thr/2 in closed form (the factor two clears rounding).
+    """
+    thr = shape.on_threshold_fraction
+    lo = -0.5 * shape.fwhm - shape.rise_time / math.sqrt(math.pi) * math.sqrt(math.log(1.0 / thr))
+    return math.nextafter(lo, -math.inf)
+
+
 def _rising_edge(shape: PulseShapeParams) -> float:
     """Offset from the pulse centre where the envelope first exceeds the on threshold.
 
-    The falling erf only lowers the envelope, so the lower bracket is just
-    below where the rising erf alone reaches half the threshold (erfcinv
-    keeps a small threshold's precision; the factor two clears rounding);
-    the upper is the centre.  Bisecting until the midpoint equals an end
-    leaves the envelope above threshold at the edge, and not a float before.
+    Bisects from _edge_bracket to the centre until the midpoint equals an
+    end, which leaves the envelope above threshold at the edge, and not a
+    float before.  Where the rounded envelope crosses the threshold at
+    several floats a few ulps apart (small thresholds, long edges), the
+    bracket decides which of them the bisection stops at.
     """
     if shape.rise_time == 0:
         return -0.5 * shape.fwhm
     thr = shape.on_threshold_fraction
-    lo = -0.5 * shape.fwhm - shape.rise_time / math.sqrt(math.pi) * float(erfcinv(thr))
-    lo = math.nextafter(lo, -math.inf)
+    lo = _edge_bracket(shape)
     hi = 0.0
     while True:
         mid = 0.5 * (lo + hi)

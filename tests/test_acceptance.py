@@ -23,7 +23,7 @@ from aokr.analysis import (
     zero_velocity_fraction,
 )
 from aokr.classical_sim import EnsembleParams, run_classical_ensemble
-from aokr.elliptic import _pendulum_reference_batch, pendulum_step
+from aokr.elliptic import pendulum_step
 from aokr.pulse_train import (
     PulseShapeParams,
     build_train_spec,
@@ -37,7 +37,7 @@ from aokr.quantum_sim import (
     run_mcwf_trajectories,
 )
 from aokr.runner import RunConfig, emit_outputs, run
-from oracles import dense_kick_propagator, to_natural_order
+from oracles import _pendulum_reference_batch, dense_kick_propagator, to_natural_order
 
 KBAR = 3.12
 T1_US = 30.0

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aokr import pulse_train
 from aokr.pulse_train import (
     PulseShapeParams,
     TwoFreqTrainSpec,
@@ -16,7 +18,7 @@ from aokr.pulse_train import (
     single_train_spec,
     unit_pulse_area,
 )
-from aokr.pulse_train import _raw_envelope, _threshold_window
+from aokr.pulse_train import _edge_bracket, _raw_envelope, _rising_edge, _threshold_window
 from oracles import brentq_threshold_window, brute_force_split, envelope_area_quadrature
 
 KBAR = 3.12
@@ -132,6 +134,59 @@ class TestEdges:
                 assert unit_pulse_area(shape) == unit_pulse_area(square)
                 t = np.array([-0.004, 0.0, 0.004, 0.006])
                 assert pulse_envelope(t, 2.0, shape).tolist() == [2.0, 2.0, 2.0, 0.0]
+
+
+class TestMathErf:
+    """The timeline takes erf from math.erf, elementwise, and brackets the
+    rising edge in closed form; scipy's Cephes erf is the reference."""
+
+    def test_envelope_and_area_match_scipy_erf(self, monkeypatch):
+        shapes = random_shapes(13, 200, log_threshold=True) + [measured_shape()]
+        offsets = np.linspace(-1.5, 1.5, 601)  # in units of FWHM plus both edges
+
+        def evaluate():
+            _threshold_window.cache_clear()
+            return [
+                (_raw_envelope(offsets * (s.fwhm + s.rise_time + s.fall_time), s), unit_pulse_area(s))
+                for s in shapes
+            ]
+
+        ours = evaluate()
+        monkeypatch.setattr(pulse_train, "_erf", scipy.special.erf)
+        try:
+            ref = evaluate()
+        finally:
+            monkeypatch.undo()
+            _threshold_window.cache_clear()
+        for shape, (env, area), (env_ref, area_ref) in zip(shapes, ours, ref):
+            assert np.max(np.abs(env - env_ref)) <= 1e-15, shape
+            assert abs(area - area_ref) <= 1e-15 * area_ref, shape
+
+    def bracket_shapes(self):
+        for thr in (1e-6, 0.1, 0.49):
+            for rise in np.logspace(-12, 1, 27).tolist():
+                yield PulseShapeParams(rise, 1.2 * rise, 0.0132 + 4.0 * rise, thr)
+
+    def test_closed_form_bracket_lies_below_the_crossing(self):
+        for shape in self.bracket_shapes():
+            lo = _edge_bracket(shape)
+            assert _raw_envelope(lo, shape) <= shape.on_threshold_fraction / 2, shape
+            assert lo < _rising_edge(shape), shape
+
+    def test_edge_does_not_depend_on_the_bracket(self, monkeypatch):
+        # holds on these shapes and the measured one; where the rounded
+        # envelope crosses a small threshold at several floats a few ulps
+        # apart, another bracket may stop at another of them
+        shapes = list(self.bracket_shapes()) + [measured_shape(t1) for t1 in (15.0, 30.0, 60.0)]
+        edges = [_rising_edge(s) for s in shapes]
+        closed_form = pulse_train._edge_bracket
+
+        def widened(shape):
+            return -0.5 * shape.fwhm + 10.0 * (closed_form(shape) + 0.5 * shape.fwhm)
+
+        monkeypatch.setattr(pulse_train, "_edge_bracket", widened)
+        for shape, edge in zip(shapes, edges):
+            assert _rising_edge(shape) == edge, shape
 
 
 class TestNormalizeHeight:

@@ -340,6 +340,37 @@ class TestCli:
         heavy = {"scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.sparse"}
         assert sorted(heavy.intersection(loaded)) == []
 
+    def test_quantum_only_run_and_validate_load_no_scipy(self, tmp_path):
+        # only the classical kernel needs scipy (ellipj); the timeline's erf
+        # is math.erf, so validating any config and running the quantum
+        # engine import no scipy module
+        import subprocess
+        import sys
+
+        import aokr
+
+        script = f"""
+import sys
+import aokr.cli
+from aokr.runner import RunConfig
+for engine in ("classical", "quantum", "both"):
+    RunConfig(engine=engine).validate()
+argv = ["single", "--engine", "quantum", "--n-traj-quantum", "4", "--n-tot", "3",
+        "--cloud-sigma-mm", "0", "--seed", "1", "--workers", "2", "--out", {str(tmp_path)!r}]
+assert aokr.cli.main(argv) == 0
+print(*sys.modules)
+"""
+        loaded = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aokr.__file__))},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.splitlines()[-1].split()
+        assert "aokr.quantum_sim" in loaded
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+        assert (tmp_path / "sweep.csv").exists()
+
     def test_single_run(self, tmp_path, capsys):
         from aokr.cli import main
 
