@@ -94,13 +94,6 @@ class MomentumDistribution:
             for c, m in zip(self.bin_centers, self.masses):
                 fh.write(f"{c:.17g},{m / w:.17g}\n")
 
-    @classmethod
-    def load_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", skiprows=2)
-        centers = data[:, 0]
-        width = centers[1] - centers[0]
-        return cls(bin_centers=centers, masses=data[:, 1] * width)
-
 
 def energy(dist_or_samples) -> float:
     """Mean kinetic energy <n^2>/2 of a distribution or of raw samples."""

@@ -9,7 +9,7 @@ pulse, so a resultant pulse where two trains overlap makes two checks,
 as the quantum decay (eta per constituent pulse) does.
 
 _evolve_pulse_rows is the one pulse kernel: the chunked ensemble calls
-it on every row of a chunk, evolve_pulse on a single row.
+it on every row of a chunk.
 """
 
 import math
@@ -128,16 +128,6 @@ def _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils):
             for c in range(fire.shape[1]):
                 rho = np.where(fire[:, c], rho + recoils[:, c], rho)
     return phi, rho
-
-
-def evolve_pulse(state: ClassicalState, pulse, rng, params: EnsembleParams) -> ClassicalState:
-    """Propagate one trajectory through one resultant pulse (a one-row
-    _evolve_pulse_rows); its emission draws come from rng."""
-    triggers, recoils = draw_emission_pairs(rng, pulse.n_constituents, params.kbar)
-    phi, rho, kf = np.array([[state.phi], [state.rho], [state.kick_factor]])
-    fire = triggers[None, :] < params.eta_per_pulse
-    phi, rho = _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils[None, :])
-    return ClassicalState(float(phi[0]), float(rho[0]), state.kick_factor)
 
 
 def _classical_chunk(job):

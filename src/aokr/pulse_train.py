@@ -381,9 +381,3 @@ def resolve_timeline(
 
     return ResolvedTimeline(pulses=tuple(pulses))
 
-
-def single_train_spec(
-    n_pulses: int, kappa: float, shape: PulseShapeParams, kbar: float
-) -> TwoFreqTrainSpec:
-    """Convenience constructor for a single periodic train (M = 0)."""
-    return TwoFreqTrainSpec(1.0, 0.0, n_pulses, 0, kappa, 0.0, shape, kbar)

@@ -30,9 +30,8 @@ limit is BOUNDARY_OCCUPATION_LIMIT, and crossing it raises
 GridOverflowError.
 
 The split step (_pulse_rows), the free phases (_free_phases) and the
-jump (_jump) each have one implementation: the chunked ensemble applies
-them to every row of a chunk, and kick_step, free_propagate and
-mcwf_check_jump to a single row.
+jump (_jump) each have one implementation, which the chunked ensemble
+applies to every row of a chunk.
 """
 
 from dataclasses import dataclass
@@ -71,18 +70,16 @@ def _grids(size: int):
     return n, cos_phi
 
 
-def _check_n_max(n_max: int):
-    """n_max must be a power of two >= 64 (grid size 2*n_max is FFT-friendly)."""
-    if n_max < 64 or (n_max & (n_max - 1)) != 0:
-        raise ValueError(f"n_max: must be a power of two >= 64, got {n_max}")
-
-
 def _grid_sizes(n_max: int):
     """The n_max an ensemble tries, in order: the powers of two from 64
-    to N_MAX_CEILING for n_max = 0 (choose), else n_max alone."""
+    to N_MAX_CEILING for n_max = 0 (choose), else n_max alone, which must
+    be a power of two >= 64 (grid size 2*n_max is FFT-friendly)."""
     if n_max == 0:
         return [64 << i for i in range((N_MAX_CEILING // 64).bit_length())]
-    _check_n_max(n_max)
+    if n_max < 64 or (n_max & (n_max - 1)) != 0:
+        raise ValueError(
+            f"n_max: must be 0 (choose the grid) or a power of two >= 64, got {n_max}"
+        )
     return [n_max]
 
 
@@ -134,82 +131,6 @@ def _jump(c, q: float, u: float):
     """Add the recoil u to the momentum offset q of one row, so <rho>
     moves by exactly u, and renormalise.  Returns (amplitudes, q)."""
     return c / np.sqrt(_norms_sq(c)), q + u
-
-
-@dataclass
-class Wavefunction:
-    """Ladder amplitudes (FFT order) with momentum offset q.
-
-    The physical momentum of component n is n*kbar + q; q is any real
-    number, not a first-zone quasimomentum.  Instances are treated as
-    immutable; operations return new ones.
-    """
-
-    c: np.ndarray
-    q: float
-    kbar: float
-
-    def _row(self):
-        """The state as one kernel row: amplitudes (1, size) and q (1,)."""
-        return self.c[None, :], np.array([self.q])
-
-    def norm_sq(self) -> float:
-        return float(_norms_sq(self.c))
-
-    def momentum_expectation(self) -> float:
-        """<rho + q> in scaled momentum units."""
-        _, weights, momenta = _energies(*self._row(), self.kbar)
-        return float(np.sum(weights * momenta) * self.kbar)
-
-    def energy_recoils(self) -> float:
-        """<(rho + q)^2>/2 in two-photon-recoil units."""
-        return float(_energies(*self._row(), self.kbar)[0][0])
-
-
-def init_wavefunction(n_max: int, initial_momentum: float, kbar: float) -> Wavefunction:
-    """All amplitude at ladder index 0 with q = initial_momentum, so the
-    window n in [-n_max, n_max) is centred on the start momentum, whatever
-    it is.  n_max must be a power of two >= 64.
-    """
-    if kbar <= 0:
-        raise ValueError("kbar must be positive")
-    _check_n_max(n_max)
-    c = np.zeros(2 * n_max, dtype=np.complex128)
-    c[0] = 1.0
-    return Wavefunction(c=c, q=initial_momentum, kbar=kbar)
-
-
-def free_propagate(psi: Wavefunction, dtau: float) -> Wavefunction:
-    """Diagonal free evolution: phases exp(-i (n kbar + q)^2 dtau / (2 kbar))."""
-    if dtau < 0:
-        raise ValueError("dtau must be >= 0")
-    c, q = psi._row()
-    phases = _free_phases(q, psi.kbar, c.shape[1], dtau)
-    return Wavefunction(c=(c * phases)[0], q=psi.q, kbar=psi.kbar)
-
-
-def kick_step(psi: Wavefunction, k_rate: float, eta_rate: float, dtau: float) -> Wavefunction:
-    """One Strang split step of the pulsed (possibly decaying) Hamiltonian:
-    a one-row, one-step _pulse_rows with kick factor 1."""
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
-    c, q = psi._row()
-    c = c.copy()
-    _pulse_rows(c, q, np.ones(1), 0.5 * eta_rate, (k_rate,), dtau, psi.kbar)
-    return Wavefunction(c=c[0], q=psi.q, kbar=psi.kbar)
-
-
-def mcwf_check_jump(psi: Wavefunction, threshold: float, u: float):
-    """Take a quantum jump with recoil u (see _jump) if the squared norm
-    has fallen below threshold.
-
-    Returns (psi', jumped); after a jump the caller moves on to its next
-    threshold and recoil.
-    """
-    if psi.norm_sq() >= threshold:
-        return psi, False
-    c, q = _jump(psi.c, psi.q, u)
-    return Wavefunction(c=c, q=q, kbar=psi.kbar), True
 
 
 @dataclass(frozen=True)

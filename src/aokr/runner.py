@@ -11,7 +11,6 @@ counter-based random substream keyed by (seed, sweep index), so rows are
 reproducible bit-for-bit regardless of worker count or execution order.
 """
 
-import csv
 import dataclasses
 import json
 import math
@@ -451,12 +450,3 @@ def emit_outputs(result: SweepResult, out_dir) -> list:
     manifest.append(plot_path)
     return manifest
 
-
-def read_sweep_csv(path):
-    """Parse a sweep.csv back into plain rows (floats round-trip exactly)."""
-    with open(path) as fh:
-        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
-    for row in rows:
-        for key in ("sweep_value", "energy", "energy_stderr", "zero_velocity_fraction"):
-            row[key] = float(row[key])
-    return rows

@@ -1,13 +1,21 @@
-"""Independent oracles used by the test suite.
+"""Oracles and one-row drivers used by the test suite.
 
-Everything here deliberately avoids the code paths under test: pulse
-areas come from scipy's adaptive quadrature of the envelope function,
-pulse edges from brentq on an independently written envelope, the
-pendulum step from DOP853 on its equations of motion, and the quantum
-step from dense matrix exponentiation in the ladder basis.
+The independent oracles deliberately avoid the code paths under test:
+pulse areas come from scipy's adaptive quadrature of the envelope
+function, pulse edges from brentq on an independently written envelope,
+the pendulum step from DOP853 on its equations of motion, the quantum
+step from dense matrix exponentiation in the ladder basis, and the
+quantum histogram from per_row_fold, which bins one row at a time.
+
+The one-row drivers (Wavefunction and its steps, evolve_pulse) do the
+opposite on purpose: they take one trajectory through the production
+kernels the ensembles run.  single_train_spec and the readers of
+emit_outputs' files are test conveniences.
 """
 
+import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -15,7 +23,12 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.special import erf
 
+from aokr.analysis import MomentumDistribution
+from aokr.classical_sim import ClassicalState, _evolve_pulse_rows
 from aokr.elliptic import _wrap_angle
+from aokr.pulse_train import TwoFreqTrainSpec
+from aokr.quantum_sim import _energies, _free_phases, _jump, _norms_sq, _pulse_rows
+from aokr.streams import draw_emission_pairs
 
 
 def envelope_area_quadrature(envelope, lo: float, hi: float) -> float:
@@ -149,3 +162,88 @@ def per_row_fold(momenta, weights, bin_width: float):
         idx = np.searchsorted(edges, row, side="right") - 1
         masses += np.bincount(idx, w, minlength=len(centers))
     return centers, masses / n_rows
+
+
+def single_train_spec(n_pulses: int, kappa: float, shape, kbar: float) -> TwoFreqTrainSpec:
+    """A single periodic train (M = 0)."""
+    return TwoFreqTrainSpec(1.0, 0.0, n_pulses, 0, kappa, 0.0, shape, kbar)
+
+
+def evolve_pulse(state: ClassicalState, pulse, rng, params) -> ClassicalState:
+    """One trajectory through one resultant pulse: a one-row
+    _evolve_pulse_rows whose emission draws come from rng."""
+    triggers, recoils = draw_emission_pairs(rng, pulse.n_constituents, params.kbar)
+    phi, rho, kf = np.array([[state.phi], [state.rho], [state.kick_factor]])
+    fire = triggers[None, :] < params.eta_per_pulse
+    phi, rho = _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils[None, :])
+    return ClassicalState(float(phi[0]), float(rho[0]), state.kick_factor)
+
+
+@dataclass
+class Wavefunction:
+    """One quantum row: ladder amplitudes c (FFT order), momenta n*kbar + q."""
+
+    c: np.ndarray
+    q: float
+    kbar: float
+
+    def _row(self):
+        """The state as one kernel row: amplitudes (1, size) and q (1,)."""
+        return self.c[None, :], np.array([self.q])
+
+    def norm_sq(self) -> float:
+        return float(_norms_sq(self.c))
+
+    def momentum_expectation(self) -> float:
+        """<rho + q> in scaled momentum units."""
+        _, weights, momenta = _energies(*self._row(), self.kbar)
+        return float(np.sum(weights * momenta) * self.kbar)
+
+    def energy_recoils(self) -> float:
+        """<(rho + q)^2>/2 in two-photon-recoil units."""
+        return float(_energies(*self._row(), self.kbar)[0][0])
+
+
+def init_wavefunction(n_max: int, initial_momentum: float, kbar: float) -> Wavefunction:
+    """All amplitude at ladder index 0 with q = initial_momentum."""
+    c = np.zeros(2 * n_max, dtype=np.complex128)
+    c[0] = 1.0
+    return Wavefunction(c, initial_momentum, kbar)
+
+
+def free_propagate(psi: Wavefunction, dtau: float) -> Wavefunction:
+    """Free evolution over dtau: a one-row _free_phases."""
+    c, q = psi._row()
+    return Wavefunction((c * _free_phases(q, psi.kbar, c.shape[1], dtau))[0], psi.q, psi.kbar)
+
+
+def kick_step(psi: Wavefunction, k_rate: float, eta_rate: float, dtau: float) -> Wavefunction:
+    """One Strang split step of the pulsed, decaying Hamiltonian: a one-row,
+    one-step _pulse_rows with kick factor 1."""
+    c, q = psi._row()
+    c = c.copy()
+    _pulse_rows(c, q, np.ones(1), 0.5 * eta_rate, (k_rate,), dtau, psi.kbar)
+    return Wavefunction(c[0], psi.q, psi.kbar)
+
+
+def mcwf_check_jump(psi: Wavefunction, threshold: float, u: float):
+    """(psi', jumped): _jump with recoil u if the squared norm is below threshold."""
+    if psi.norm_sq() >= threshold:
+        return psi, False
+    return Wavefunction(*_jump(psi.c, psi.q, u), psi.kbar), True
+
+
+def read_sweep_csv(path):
+    """Parse a sweep.csv back into plain rows (floats round-trip exactly)."""
+    with open(path) as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    for row in rows:
+        for key in ("sweep_value", "energy", "energy_stderr", "zero_velocity_fraction"):
+            row[key] = float(row[key])
+    return rows
+
+
+def load_dist_csv(path) -> MomentumDistribution:
+    """Read a MomentumDistribution.save_csv file back (mass = density * bin width)."""
+    centers, density = np.loadtxt(path, delimiter=",", skiprows=2, unpack=True)
+    return MomentumDistribution(centers, density * (centers[1] - centers[0]))

@@ -24,20 +24,18 @@ from aokr.analysis import (
 )
 from aokr.classical_sim import EnsembleParams, run_classical_ensemble
 from aokr.elliptic import pendulum_step
-from aokr.pulse_train import (
-    PulseShapeParams,
-    build_train_spec,
-    resolve_timeline,
-    single_train_spec,
-)
-from aokr.quantum_sim import (
+from aokr.pulse_train import PulseShapeParams, build_train_spec, resolve_timeline
+from aokr.quantum_sim import run_mcwf_trajectories
+from aokr.runner import RunConfig, emit_outputs, run
+from oracles import (
+    _pendulum_reference_batch,
+    dense_kick_propagator,
     free_propagate,
     init_wavefunction,
     kick_step,
-    run_mcwf_trajectories,
+    single_train_spec,
+    to_natural_order,
 )
-from aokr.runner import RunConfig, emit_outputs, run
-from oracles import _pendulum_reference_batch, dense_kick_propagator, to_natural_order
 
 KBAR = 3.12
 T1_US = 30.0

@@ -15,6 +15,7 @@ from aokr.analysis import (
     momentum_bin_grid,
     zero_velocity_fraction,
 )
+from oracles import load_dist_csv
 
 
 def dist_from_masses(centers, masses):
@@ -47,7 +48,7 @@ class TestDistribution:
         dist = MomentumDistribution.from_samples(rng.normal(0, 2, 500), 0.5)
         path = tmp_path / "dist.csv"
         dist.save_csv(path)
-        back = MomentumDistribution.load_csv(path)
+        back = load_dist_csv(path)
         assert np.allclose(back.bin_centers, dist.bin_centers)
         assert np.allclose(back.masses, dist.masses, atol=1e-15)
 

@@ -6,20 +6,14 @@ import pytest
 from aokr.classical_sim import (
     ClassicalState,
     EnsembleParams,
-    evolve_pulse,
     run_classical_ensemble,
     sample_initial_classical,
 )
 from aokr.constants import kbar_for_period, thermal_sigma_recoils
 from aokr.elliptic import _wrap_angle, pendulum_step
-from aokr.pulse_train import (
-    PulseShapeParams,
-    ResultantPulse,
-    build_train_spec,
-    resolve_timeline,
-    single_train_spec,
-)
+from aokr.pulse_train import PulseShapeParams, ResultantPulse, build_train_spec, resolve_timeline
 from aokr.streams import ENGINE_CLASSICAL, trajectory_stream
+from oracles import evolve_pulse, single_train_spec
 
 KBAR = 3.12
 

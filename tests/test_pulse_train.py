@@ -15,11 +15,15 @@ from aokr.pulse_train import (
     normalize_height,
     pulse_envelope,
     resolve_timeline,
-    single_train_spec,
     unit_pulse_area,
 )
 from aokr.pulse_train import _edge_bracket, _raw_envelope, _rising_edge, _threshold_window
-from oracles import brentq_threshold_window, brute_force_split, envelope_area_quadrature
+from oracles import (
+    brentq_threshold_window,
+    brute_force_split,
+    envelope_area_quadrature,
+    single_train_spec,
+)
 
 KBAR = 3.12
 

@@ -6,27 +6,27 @@ from hypothesis import strategies as st
 from aokr import quantum_sim
 from aokr.analysis import MomentumDistribution, energy, momentum_bin_grid
 from aokr.classical_sim import EnsembleParams, draw_momentum_and_kick_factor, run_classical_ensemble
-from aokr.pulse_train import (
-    PulseShapeParams,
-    build_train_spec,
-    resolve_timeline,
-    single_train_spec,
-)
+from aokr.pulse_train import PulseShapeParams, build_train_spec, resolve_timeline
 from aokr.quantum_sim import (
     BOUNDARY_OCCUPATION_LIMIT,
     GridOverflowError,
-    Wavefunction,
     _grids,
     _jump,
     _quantum_chunk,
+    run_mcwf_trajectories,
+)
+from aokr.streams import ENGINE_QUANTUM, trajectory_stream
+from oracles import (
+    Wavefunction,
+    dense_kick_propagator,
     free_propagate,
     init_wavefunction,
     kick_step,
     mcwf_check_jump,
-    run_mcwf_trajectories,
+    per_row_fold,
+    single_train_spec,
+    to_natural_order,
 )
-from aokr.streams import ENGINE_QUANTUM, trajectory_stream
-from oracles import dense_kick_propagator, per_row_fold, to_natural_order
 
 KBAR = 3.12
 
@@ -68,12 +68,6 @@ class TestInit:
         assert psi.c[0] == 1.0
         assert psi.q == 0.0
         assert psi.norm_sq() == 1.0
-
-    def test_grid_size_validation(self):
-        with pytest.raises(ValueError):
-            init_wavefunction(100, 0.0, KBAR)
-        with pytest.raises(ValueError):
-            init_wavefunction(32, 0.0, KBAR)
 
     @pytest.mark.parametrize("p0_in_kbar", [0.6, -2.3, 200.0], ids=["0.6", "-2.3", "200"])
     def test_starts_at_ladder_origin_with_q_at_start_momentum(self, p0_in_kbar):

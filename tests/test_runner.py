@@ -16,10 +16,10 @@ from aokr.runner import (
     emit_outputs,
     parse_config_file,
     phase_sweep_values,
-    read_sweep_csv,
     run,
     SweepResult,
 )
+from oracles import read_sweep_csv
 
 TUPLE_FIELDS = ["sublevel_factors", "sublevel_weights", "r_prime_values"]
 
@@ -467,7 +467,9 @@ print(*sys.modules)
         with pytest.raises(SystemExit) as info:
             main(["single", "--n-max", "100", "--out", str(tmp_path)])
         assert info.value.code == 2
-        assert "n_max" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n_max" in err
+        assert "must be 0 (choose the grid) or a power of two >= 64, got 100" in err
 
     def test_unreadable_config_path_rejected_naming_it(self, tmp_path, no_engine, capsys):
         from aokr.cli import main
