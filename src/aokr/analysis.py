@@ -146,10 +146,12 @@ def classify_lineshape(dist: MomentumDistribution) -> LineshapeReport:
     Both fits run over bins above FIT_FLOOR of the peak; the class is
     decided only when one RMS residual beats the other by the factor
     FIT_MARGIN.  Scale-invariant: rescaling masses shifts only the intercepts.
+    Fewer than 20 nonempty bins fit nothing: the report is undetermined,
+    its residuals and width NaN.
     """
     nonempty = dist.masses > 0
     if int(nonempty.sum()) < 20:
-        raise ValueError("lineshape fit needs at least 20 nonempty bins")
+        return LineshapeReport(LINESHAPE_UNDETERMINED, math.nan, math.nan, math.nan)
     peak = dist.masses.max()
     mask = nonempty & (dist.masses >= FIT_FLOOR * peak)
     n = dist.bin_centers[mask]

@@ -27,15 +27,6 @@ DEFAULT_CHUNK_SIZE = 1024
 
 
 @dataclass(frozen=True)
-class ClassicalState:
-    """One trajectory: scaled angle, scaled momentum, kick-strength factor."""
-
-    phi: float
-    rho: float
-    kick_factor: float = 1.0
-
-
-@dataclass(frozen=True)
 class EnsembleParams:
     """Initial-condition and noise model shared by both engines.
 
@@ -105,12 +96,11 @@ def draw_momentum_and_kick_factor(params: EnsembleParams, rng):
     return params.kbar * n, intensity * sub
 
 
-def sample_initial_classical(params: EnsembleParams, rng) -> ClassicalState:
-    """Thermal initial state: phi ~ Uniform[-pi, pi), then rho and the kick
-    factor from draw_momentum_and_kick_factor."""
+def sample_initial_classical(params: EnsembleParams, rng):
+    """Thermal initial state (phi, rho, kick_factor): phi ~ Uniform[-pi, pi),
+    then rho and the kick factor from draw_momentum_and_kick_factor."""
     phi = rng.uniform(-math.pi, math.pi)
-    rho, kick_factor = draw_momentum_and_kick_factor(params, rng)
-    return ClassicalState(phi=phi, rho=rho, kick_factor=kick_factor)
+    return (phi, *draw_momentum_and_kick_factor(params, rng))
 
 
 def _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils):
@@ -139,8 +129,7 @@ def _classical_chunk(job):
     triggers, recoils = np.empty((2, n, n_checks))
     streams = trajectory_streams(params.rng_seed, sweep_index, ENGINE_CLASSICAL, range(lo, hi))
     for i, s in enumerate(streams):
-        st = sample_initial_classical(params, s)
-        phi[i], rho[i], kf[i] = st.phi, st.rho, st.kick_factor
+        phi[i], rho[i], kf[i] = sample_initial_classical(params, s)
         triggers[i], recoils[i] = draw_emission_pairs(s, n_checks, params.kbar)
 
     fire = triggers < params.eta_per_pulse

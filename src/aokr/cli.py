@@ -99,14 +99,14 @@ def main(argv=None):
         parser.error(str(exc))
 
     try:
-        result = run(config)
+        rows = run(config)
     except GridOverflowError as exc:  # a grid too small for the run's ensemble
         parser.exit(1, f"{parser.prog}: error: {exc}\n")
-    manifest = emit_outputs(result, config.output_dir)
-    for row in result.rows:
+    manifest = emit_outputs(config, rows)
+    for row in rows:
         grid = f" n_max={row.n_max}" if row.n_max else ""
         print(
-            f"{result.sweep_parameter}={row.sweep_value:g} engine={row.engine} "
+            f"{config.sweep_parameter}={row.sweep_value:g} engine={row.engine} "
             f"E={row.energy:.4g}(+-{row.energy_stderr:.2g}) "
             f"zvf={row.zero_velocity_fraction:.4g} lineshape={row.lineshape_class}{grid}"
         )

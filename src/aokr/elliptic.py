@@ -20,7 +20,8 @@ quantum-only run loads no scipy; a run with the classical engine loads
 scipy.special in the parent before its worker pool forks (runner.run),
 so the workers inherit it instead of each importing it again.
 
-All functions accept scalars or numpy arrays and broadcast.
+All functions accept scalars or numpy arrays and broadcast; scalar
+inputs give 0-d results.
 """
 
 import numpy as np
@@ -95,10 +96,4 @@ def pendulum_step(phi, rho, k_rate, dtau):
         raise ValueError("dtau must be >= 0")
     if np.any(_as_float_array(k_rate) < 0):
         raise ValueError("k_rate must be >= 0")
-    scalar = all(np.ndim(x) == 0 for x in (phi, rho, k_rate, dtau))
-    if scalar:
-        p, r = _pendulum_step_arrays(
-            np.asarray([phi]), np.asarray([rho]), np.asarray([k_rate]), dtau
-        )
-        return float(p[0]), float(r[0])
     return _pendulum_step_arrays(phi, rho, k_rate, dtau)

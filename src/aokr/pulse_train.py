@@ -107,10 +107,6 @@ class TwoFreqTrainSpec:
         if self.kbar <= 0:
             raise ValueError(f"kbar: must be positive, got {self.kbar}")
 
-    @property
-    def n_total(self) -> int:
-        return self.n_first + self.n_second
-
     def pulse_centers(self):
         """(centers, train_ids) of all constituent pulses, time-ordered."""
         c1 = np.arange(self.n_first, dtype=float)
@@ -256,15 +252,12 @@ def pulse_envelope(t_rel, k_max: float, shape: PulseShapeParams):
 
     The erf profile scaled to peak k_max, clamped to zero outside the
     window where it exceeds on_threshold_fraction * k_max.  Total
-    function; accepts arrays.
+    function; accepts arrays, and a scalar t_rel gives a 0-d array.
     """
     on, off = _threshold_window(shape)
     t_rel = np.asarray(t_rel, dtype=float)
     inside = (t_rel >= on) & (t_rel <= off)
-    vals = np.where(inside, k_max * _raw_envelope(t_rel, shape), 0.0)
-    if np.ndim(t_rel) == 0:
-        return float(vals)
-    return vals
+    return np.where(inside, k_max * _raw_envelope(t_rel, shape), 0.0)
 
 
 def unit_pulse_area(shape: PulseShapeParams) -> float:
@@ -334,17 +327,18 @@ def resolve_timeline(
     The summed envelope is on exactly on the union of the constituent on
     windows (each constituent is clamped to its own window), so resultant
     pulses are the connected components of that union.  Every component
-    gets a uniform grid of at least min_steps_per_pulse steps, with the
-    step size never exceeding the single-pulse step size, so
-    overlap-lengthened pulses are sampled at least as finely.
+    gets a uniform grid of min_steps_per_pulse steps plus one step per
+    single-pulse step, or part of one, that its constituents' centres
+    spread over.  An isolated or exactly coincident pulse thus has
+    min_steps_per_pulse steps, and no step exceeds the single-pulse step,
+    so overlap-lengthened pulses are sampled at least as finely.
     """
     if min_steps_per_pulse < 1:
         raise ValueError(f"min_steps_per_pulse: must be >= 1, got {min_steps_per_pulse}")
     kappa = {1: spec.kappa1, 2: spec.kappa2}
     kmax = {tr: normalize_height(k, spec.shape) for tr, k in kappa.items()}
     on, off = _threshold_window(spec.shape)
-    width = off - on
-    base_step = width / min_steps_per_pulse
+    base_step = (off - on) / min_steps_per_pulse
 
     centers, trains = spec.pulse_centers()
     live = [(c, int(tr)) for c, tr in zip(centers, trains) if kmax[int(tr)] > 0]
@@ -362,7 +356,8 @@ def resolve_timeline(
     shape = spec.shape
     for start, end, members in groups:
         length = end - start
-        n_steps = max(min_steps_per_pulse, int(math.ceil(length / base_step - 1e-9)))
+        spread = members[-1][1] - members[0][1]
+        n_steps = min_steps_per_pulse + math.ceil(spread / base_step)
         tau_mid = start + (np.arange(n_steps) + 0.5) * (length / n_steps)
         k_mid = np.zeros(n_steps)
         for tr, c in members:
@@ -372,7 +367,7 @@ def resolve_timeline(
             ResultantPulse(
                 start=float(start),
                 end=float(end),
-                n_steps=int(n_steps),
+                n_steps=n_steps,
                 k_mid=k_mid,
                 area=float(area),
                 constituents=tuple(members),

@@ -192,6 +192,10 @@ class RunConfig:
             rng_seed=self.seed,
         )
 
+    @property
+    def sweep_parameter(self) -> str:
+        return "r_prime" if self.mode == MODE_RATIO_SWEEP else "psi0_deg"
+
     def engines(self):
         if self.engine == ENGINE_BOTH:
             return (ENGINE_CLASSICAL, ENGINE_QUANTUM)
@@ -249,23 +253,6 @@ class SweepRow:
     n_max: int  # the quantum ladder half size used (0 for classical rows)
 
 
-@dataclass
-class SweepResult:
-    rows: list
-    config: RunConfig
-
-    @property
-    def sweep_parameter(self) -> str:
-        return "r_prime" if self.config.mode == MODE_RATIO_SWEEP else "psi0_deg"
-
-
-def _classify_or_undetermined(dist):
-    try:
-        return analysis.classify_lineshape(dist).lineshape_class
-    except ValueError:
-        return analysis.LINESHAPE_UNDETERMINED
-
-
 def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float):
     """Run the selected engines on one resolved timeline.
 
@@ -305,7 +292,7 @@ def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float
                 zero_velocity_fraction=analysis.zero_velocity_fraction(
                     dist, config.epsilon_zero_velocity
                 ),
-                lineshape_class=_classify_or_undetermined(dist),
+                lineshape_class=analysis.classify_lineshape(dist).lineshape_class,
                 distribution=dist,
                 n_max=n_max,
             )
@@ -346,8 +333,9 @@ def sweep_points(config: RunConfig):
         )
 
 
-def run(config: RunConfig) -> SweepResult:
-    """Validate the config, then run its engines on each sweep point in order.
+def run(config: RunConfig) -> list:
+    """Validate the config, then run its engines on each sweep point in order;
+    returns the SweepRows in sweep order, each point's engines in turn.
 
     Every ensemble of the run maps its chunks over one worker pool of
     min(n_workers, largest ensemble) processes, opened here and shut down,
@@ -368,43 +356,45 @@ def run(config: RunConfig) -> SweepResult:
         for idx, (sweep_value, spec) in enumerate(sweep_points(config)):
             timeline = resolve_timeline(spec, config.min_steps_per_pulse)
             rows.extend(_run_point(config, timeline, idx, sweep_value))
-    return SweepResult(rows=rows, config=config)
+    return rows
 
 
 def _format(x) -> str:
     return f"{x:.17g}"
 
 
-def emit_outputs(result: SweepResult, out_dir) -> list:
-    """Write sweep CSV, per-point distributions, config snapshot, plot script.
+def emit_outputs(config: RunConfig, rows) -> list:
+    """Write the run's sweep CSV, per-point distributions, config snapshot and
+    plot script to config.output_dir.
 
     Returns the list of written paths (the manifest).  An empty sweep
     produces only the config snapshot.
     """
+    out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     manifest = []
 
     config_path = os.path.join(out_dir, "config.json")
-    snapshot = dataclasses.asdict(result.config)
-    snapshot["kbar_effective"] = result.config.kbar_effective
+    snapshot = dataclasses.asdict(config)
+    snapshot["kbar_effective"] = config.kbar_effective
     with open(config_path, "w") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
     manifest.append(config_path)
 
-    if not result.rows:
+    if not rows:
         return manifest
 
     sweep_path = os.path.join(out_dir, "sweep.csv")
     manifest.append(sweep_path)
     with open(sweep_path, "w") as fh:
         fh.write(UNITS_HEADER + "\n")
-        fh.write(f"# sweep_parameter: {result.sweep_parameter}\n")
+        fh.write(f"# sweep_parameter: {config.sweep_parameter}\n")
         fh.write(
             "sweep_value,engine,energy,energy_stderr,zero_velocity_fraction,"
             "lineshape_class,distribution_file\n"
         )
-        for i, row in enumerate(result.rows):
+        for i, row in enumerate(rows):
             dist_name = f"dist_{row.engine}_{i:04d}.csv"
             row.distribution.save_csv(os.path.join(out_dir, dist_name))
             manifest.append(os.path.join(out_dir, dist_name))
@@ -426,7 +416,7 @@ def emit_outputs(result: SweepResult, out_dir) -> list:
     plot_path = os.path.join(out_dir, "plot.gp")
     ylabel = "energy (two-photon-recoil units)"
     ycol = 3
-    if result.sweep_parameter == "r_prime":
+    if config.sweep_parameter == "r_prime":
         ylabel = "zero-velocity fraction"
         ycol = 5
     with open(plot_path, "w") as fh:
@@ -435,7 +425,7 @@ def emit_outputs(result: SweepResult, out_dir) -> list:
                 [
                     "# gnuplot script",
                     "set datafile separator ','",
-                    f"set xlabel '{result.sweep_parameter}'",
+                    f"set xlabel '{config.sweep_parameter}'",
                     f"set ylabel '{ylabel}'",
                     "set key top right",
                     "plot \\",

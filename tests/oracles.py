@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 from scipy.special import erf
 
 from aokr.analysis import MomentumDistribution
-from aokr.classical_sim import ClassicalState, _evolve_pulse_rows
+from aokr.classical_sim import _evolve_pulse_rows
 from aokr.elliptic import _wrap_angle
 from aokr.pulse_train import TwoFreqTrainSpec
 from aokr.quantum_sim import _energies, _free_phases, _jump, _norms_sq, _pulse_rows
@@ -169,14 +169,15 @@ def single_train_spec(n_pulses: int, kappa: float, shape, kbar: float) -> TwoFre
     return TwoFreqTrainSpec(1.0, 0.0, n_pulses, 0, kappa, 0.0, shape, kbar)
 
 
-def evolve_pulse(state: ClassicalState, pulse, rng, params) -> ClassicalState:
-    """One trajectory through one resultant pulse: a one-row
+def evolve_pulse(phi, rho, kick_factor, pulse, rng, params):
+    """(phi, rho) of one trajectory after one resultant pulse: a one-row
     _evolve_pulse_rows whose emission draws come from rng."""
     triggers, recoils = draw_emission_pairs(rng, pulse.n_constituents, params.kbar)
-    phi, rho, kf = np.array([[state.phi], [state.rho], [state.kick_factor]])
     fire = triggers[None, :] < params.eta_per_pulse
-    phi, rho = _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils[None, :])
-    return ClassicalState(float(phi[0]), float(rho[0]), state.kick_factor)
+    phi, rho = _evolve_pulse_rows(
+        np.array([phi]), np.array([rho]), np.array([kick_factor]), pulse, fire, recoils[None, :]
+    )
+    return float(phi[0]), float(rho[0])
 
 
 @dataclass

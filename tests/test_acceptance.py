@@ -336,8 +336,7 @@ def test_criterion_9_determinism_across_workers(tmp_path):
             cloud_sigma_mm=0.5, eta=0.028, seed=99, n_workers=workers,
             output_dir=str(out),
         )
-        result = run(cfg)
-        return emit_outputs(result, out)
+        return emit_outputs(cfg, run(cfg))
 
     m1 = emit(1, tmp_path / "w1")
     m3 = emit(3, tmp_path / "w3")

@@ -161,10 +161,13 @@ class TestLineshape:
         report = classify_lineshape(d)
         assert report.fitted_width == pytest.approx(12.0, rel=0.1)
 
-    def test_too_few_bins_errors(self):
+    def test_too_few_bins_is_undetermined(self):
         d = dist_from_masses([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3])
-        with pytest.raises(ValueError):
-            classify_lineshape(d)
+        report = classify_lineshape(d)
+        assert report.lineshape_class == LINESHAPE_UNDETERMINED
+        assert math.isnan(report.residual_exponential)
+        assert math.isnan(report.residual_gaussian)
+        assert math.isnan(report.fitted_width)
 
 
 class TestDominantPhaseFrequency:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from aokr.classical_sim import (
-    ClassicalState,
     EnsembleParams,
     run_classical_ensemble,
     sample_initial_classical,
@@ -36,7 +35,7 @@ class TestInitialSampling:
     def test_thermal_width(self):
         params = params_with()
         rng = np.random.default_rng(1)
-        rho = np.array([sample_initial_classical(params, rng).rho for _ in range(20000)])
+        _, rho, _ = np.array([sample_initial_classical(params, rng) for _ in range(20000)]).T
         sigma = np.std(rho / KBAR)
         assert sigma == pytest.approx(params.sigma_n, rel=0.03)
 
@@ -44,18 +43,20 @@ class TestInitialSampling:
         params = params_with(cloud_sigma_mm=0.0)
         rng = np.random.default_rng(2)
         for _ in range(100):
-            assert sample_initial_classical(params, rng).kick_factor == 1.0
+            _, _, kick_factor = sample_initial_classical(params, rng)
+            assert kick_factor == 1.0
 
     def test_zero_temperature_starts_at_rest(self):
         params = params_with(temperature_uk=0.0)
         rng = np.random.default_rng(3)
         for _ in range(100):
-            assert sample_initial_classical(params, rng).rho == 0.0
+            _, rho, _ = sample_initial_classical(params, rng)
+            assert rho == 0.0
 
     def test_phi_uniform_in_principal_interval(self):
         params = params_with()
         rng = np.random.default_rng(4)
-        phis = np.array([sample_initial_classical(params, rng).phi for _ in range(5000)])
+        phis, _, _ = np.array([sample_initial_classical(params, rng) for _ in range(5000)]).T
         assert np.all((phis >= -np.pi) & (phis < np.pi))
         assert abs(np.mean(phis)) < 0.1
 
@@ -63,7 +64,7 @@ class TestInitialSampling:
         # <f> = 1/sqrt(1 + sigma_c^2/sigma_b^2) for f = exp(-x^2/(2 sb^2))
         params = params_with(cloud_sigma_mm=0.5, beam_sigma_mm=0.72)
         rng = np.random.default_rng(5)
-        f = np.array([sample_initial_classical(params, rng).kick_factor for _ in range(40000)])
+        _, _, f = np.array([sample_initial_classical(params, rng) for _ in range(40000)]).T
         expected = 1.0 / math.sqrt(1.0 + (0.5 / 0.72) ** 2)
         assert np.mean(f) == pytest.approx(expected, rel=0.02)
         assert np.all((f > 0) & (f <= 1))
@@ -71,7 +72,7 @@ class TestInitialSampling:
     def test_sublevel_factors_drawn(self):
         params = params_with(sublevel_factors=((0.5, 1.0), (1.0, 3.0)))
         rng = np.random.default_rng(6)
-        f = np.array([sample_initial_classical(params, rng).kick_factor for _ in range(8000)])
+        _, _, f = np.array([sample_initial_classical(params, rng) for _ in range(8000)]).T
         frac_half = np.mean(f == 0.5)
         assert frac_half == pytest.approx(0.25, abs=0.02)
 
@@ -101,10 +102,9 @@ class TestEvolvePulse:
     def test_zero_height_is_free_evolution(self):
         params = params_with()
         rng = np.random.default_rng(0)
-        s = ClassicalState(0.2, 3.0)
-        out = evolve_pulse(s, zero_height_pulse(), rng, params)
-        assert out.phi == pytest.approx(0.2 + 3.0 * 0.016, abs=1e-12)
-        assert out.rho == 3.0
+        phi, rho = evolve_pulse(0.2, 3.0, 1.0, zero_height_pulse(), rng, params)
+        assert phi == pytest.approx(0.2 + 3.0 * 0.016, abs=1e-12)
+        assert rho == 3.0
 
     @pytest.mark.parametrize("n_constituents", [1, 2])
     def test_one_emission_check_per_constituent(self, n_constituents):
@@ -115,7 +115,7 @@ class TestEvolvePulse:
         rng = np.random.default_rng(3)
         pulse = zero_height_pulse(n_steps=2, n_constituents=n_constituents)
         d_rho = np.array(
-            [evolve_pulse(ClassicalState(0.0, 0.0), pulse, rng, params).rho for _ in range(4000)]
+            [evolve_pulse(0.0, 0.0, 1.0, pulse, rng, params)[1] for _ in range(4000)]
         )
         assert np.all(np.abs(d_rho) < n_constituents * KBAR / 2)
         assert np.var(d_rho) == pytest.approx(n_constituents * KBAR**2 / 12, rel=0.05)
@@ -129,10 +129,9 @@ class TestEvolvePulse:
         rng = np.random.default_rng(1)
         for phi0 in [-2.0, -0.5, 0.7, 2.5]:
             for kf in [1.0, 0.6]:
-                s = ClassicalState(phi0, 0.0, kf)
-                out = evolve_pulse(s, tl.pulses[0], rng, params)
+                _, rho = evolve_pulse(phi0, 0.0, kf, tl.pulses[0], rng, params)
                 expected = kf * kappa * math.sin(phi0)
-                assert out.rho - 0.0 == pytest.approx(expected, rel=0.01)
+                assert rho - 0.0 == pytest.approx(expected, rel=0.01)
 
     def test_grid_refinement_converges(self):
         shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)
@@ -142,10 +141,9 @@ class TestEvolvePulse:
         tl16 = resolve_timeline(spec, 16)
         tl64 = resolve_timeline(spec, 64)
         for phi0, rho0 in [(0.3, 1.0), (-1.2, 8.0), (2.0, -15.0)]:
-            s = ClassicalState(phi0, rho0)
-            out16 = evolve_pulse(s, tl16.pulses[0], rng, params)
-            out64 = evolve_pulse(s, tl64.pulses[0], rng, params)
-            assert abs(out16.rho - out64.rho) < 1e-3 * 10.1
+            _, rho16 = evolve_pulse(phi0, rho0, 1.0, tl16.pulses[0], rng, params)
+            _, rho64 = evolve_pulse(phi0, rho0, 1.0, tl64.pulses[0], rng, params)
+            assert abs(rho16 - rho64) < 1e-3 * 10.1
 
 
 class TestEnsemble:
@@ -155,20 +153,21 @@ class TestEnsemble:
         params = params_with(rng_seed=9)
         samples = run_classical_ensemble(tl, params, 10)
         stream = trajectory_stream(9, 0, ENGINE_CLASSICAL, 3)
-        expected = sample_initial_classical(params, stream).rho / KBAR
-        assert samples[3] == expected
+        _, rho, _ = sample_initial_classical(params, stream)
+        assert samples[3] == rho / KBAR
 
     def test_energy_conserved_with_zero_kappa_and_eta(self):
         spec = single_train_spec(5, 0.0, PulseShapeParams.square(0.016), KBAR)
         tl = resolve_timeline(spec)
         params = params_with(rng_seed=2)
         s1 = run_classical_ensemble(tl, params, 64)
-        inits = [
-            sample_initial_classical(params, trajectory_stream(2, 0, ENGINE_CLASSICAL, i)).rho
-            / KBAR
-            for i in range(64)
-        ]
-        assert np.array_equal(s1, np.array(inits))
+        _, rho, _ = np.array(
+            [
+                sample_initial_classical(params, trajectory_stream(2, 0, ENGINE_CLASSICAL, i))
+                for i in range(64)
+            ]
+        ).T
+        assert np.array_equal(s1, rho / KBAR)
 
     def test_matches_per_trajectory_route_on_overlapped_timeline(self):
         # r = 1, psi0 = 0: every resultant pulse has two constituents.
@@ -181,15 +180,14 @@ class TestEnsemble:
         samples = run_classical_ensemble(tl, params, 8, chunk_size=3)
         for i in range(8):
             stream = trajectory_stream(1, 0, ENGINE_CLASSICAL, i)
-            state = sample_initial_classical(params, stream)
+            phi, rho, kick_factor = sample_initial_classical(params, stream)
             prev_end = None
             for pulse in tl.pulses:
                 if prev_end is not None:
-                    phi = float(_wrap_angle(state.phi + (pulse.start - prev_end) * state.rho))
-                    state = ClassicalState(phi, state.rho, state.kick_factor)
-                state = evolve_pulse(state, pulse, stream, params)
+                    phi = float(_wrap_angle(phi + (pulse.start - prev_end) * rho))
+                phi, rho = evolve_pulse(phi, rho, kick_factor, pulse, stream, params)
                 prev_end = pulse.end
-            assert samples[i] == state.rho / KBAR
+            assert samples[i] == rho / KBAR
 
     def test_worker_count_invariance(self):
         shape = PulseShapeParams.from_physical_ns(104, 121, 396, 30.0)

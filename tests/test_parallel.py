@@ -74,8 +74,8 @@ def _small_config(**kw):
 
 
 def test_one_pool_per_run_and_no_worker_left(executors):
-    result = run(_small_config())
-    assert len(result.rows) == 6  # six ensembles, 3 points x 2 engines, on one pool
+    rows = run(_small_config())
+    assert len(rows) == 6  # six ensembles, 3 points x 2 engines, on one pool
     assert executors == [2]
     assert multiprocessing.active_children() == []
 
@@ -136,7 +136,7 @@ def test_multi_point_sweep_bytes_do_not_depend_on_workers(tmp_path):
             n_max=128, eta=0.028, cloud_sigma_mm=0.5, seed=41, n_workers=workers,
             output_dir=str(out),
         )
-        return sorted(p for p in emit_outputs(run(cfg), out) if p.endswith(".csv"))
+        return sorted(p for p in emit_outputs(cfg, run(cfg)) if p.endswith(".csv"))
 
     reference = csv_files(1)
     assert len(reference) == 5  # sweep.csv and one distribution per (point, engine)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aokr import pulse_train
@@ -328,7 +328,7 @@ class TestResolveTimeline:
     def test_pulses_disjoint_and_ordered(self):
         spec = build_train_spec(1.21, 0.13, 25, 10.0, 10.0, measured_shape(), KBAR)
         tl = resolve_timeline(spec)
-        assert tl.n_res <= spec.n_total
+        assert tl.n_res <= spec.n_first + spec.n_second
         for a, b in zip(tl.pulses, tl.pulses[1:]):
             assert a.end <= b.start
 
@@ -355,6 +355,9 @@ shapes = st.one_of(
     shape=shapes,
     min_steps=st.integers(1, 40),
 )
+# near-coincident pairs: centres 24 and 24 + 4e-15, and 0 and 2.8e-11
+@example(1.3, 216.0, 100, 1.0, 1.0, PulseShapeParams.square(0.0016), 8)
+@example(1.0, 1e-8, 2, 1.0, 1.0, PulseShapeParams.square(0.5), 1)
 def test_resolved_timeline_properties(r, psi0_deg, n_tot, kappa1, kappa2, shape, min_steps):
     spec = build_train_spec(r, psi0_deg / 360.0, n_tot, kappa1, kappa2, shape, KBAR)
     tl = resolve_timeline(spec, min_steps)
@@ -365,6 +368,8 @@ def test_resolved_timeline_properties(r, psi0_deg, n_tot, kappa1, kappa2, shape,
     assert sum(p.area for p in tl.pulses) == pytest.approx(expected, rel=1e-12)
     for pulse in tl.pulses:
         assert pulse.n_steps >= min_steps
+        if pulse.n_constituents == 1:
+            assert pulse.n_steps == min_steps
         # start and end are absolute times, so their difference carries the
         # rounding of the larger one: allow one float spacing of it per step.
         slack = np.spacing(max(abs(pulse.start), abs(pulse.end))) / pulse.n_steps

@@ -17,7 +17,6 @@ from aokr.runner import (
     parse_config_file,
     phase_sweep_values,
     run,
-    SweepResult,
 )
 from oracles import read_sweep_csv
 
@@ -207,7 +206,7 @@ class TestSweeps:
         cfg = fast_config(engine="both")
         a = run(cfg)
         b = run(cfg)
-        for ra, rb in zip(a.rows, b.rows):
+        for ra, rb in zip(a, b):
             assert ra.energy == rb.energy
             assert ra.zero_velocity_fraction == rb.zero_velocity_fraction
             assert np.array_equal(ra.distribution.masses, rb.distribution.masses)
@@ -219,7 +218,7 @@ class TestSweeps:
         ratio = run(
             fast_config(mode="ratio_sweep", engine="both", r_prime_values=(1.0,), psi0_prime_deg=52.0)
         )
-        for rs, rr in zip(single.rows, ratio.rows):
+        for rs, rr in zip(single, ratio):
             assert rs.energy == rr.energy
             assert np.array_equal(rs.distribution.masses, rr.distribution.masses)
 
@@ -233,8 +232,7 @@ class TestSweeps:
             n_traj_classical=16,
             n_traj_quantum=4,
         )
-        res = run(cfg)
-        assert [(r.sweep_value, r.engine) for r in res.rows] == [
+        assert [(r.sweep_value, r.engine) for r in run(cfg)] == [
             (100.0, "classical"),
             (100.0, "quantum"),
             (110.0, "classical"),
@@ -264,7 +262,7 @@ class TestSweeps:
         # the run layer reduces per-trajectory energies n^2/2; that equals
         # energy() and energy_stderr() of the momenta bit for bit
         cfg = fast_config(eta=0.028)
-        (row,) = run(cfg).rows
+        (row,) = run(cfg)
         spec = build_train_spec(
             cfg.ratio,
             cfg.psi0_deg / 360.0,
@@ -282,8 +280,7 @@ class TestSweeps:
 
 class TestOutputs:
     def test_empty_sweep_manifest_has_config_only(self, tmp_path):
-        res = SweepResult(rows=[], config=fast_config())
-        manifest = emit_outputs(res, tmp_path)
+        manifest = emit_outputs(fast_config(output_dir=str(tmp_path)), [])
         assert len(manifest) == 1
         assert manifest[0].endswith("config.json")
         snapshot = json.loads(open(manifest[0]).read())
@@ -298,9 +295,9 @@ class TestOutputs:
             psi0_step_deg=5.0,
             n_traj_classical=32,
             n_traj_quantum=4,
+            output_dir=str(tmp_path),
         )
-        res = run(cfg)
-        manifest = emit_outputs(res, tmp_path)
+        manifest = emit_outputs(cfg, run(cfg))
         rows = read_sweep_csv(os.path.join(tmp_path, "sweep.csv"))
         assert len(rows) == 4
         header = open(os.path.join(tmp_path, "sweep.csv")).readline()
@@ -312,11 +309,11 @@ class TestOutputs:
             assert os.path.exists(os.path.join(tmp_path, row["distribution_file"]))
 
     def test_csv_roundtrip_full_precision(self, tmp_path):
-        cfg = fast_config(engine="both")
-        res = run(cfg)
-        emit_outputs(res, tmp_path)
+        cfg = fast_config(engine="both", output_dir=str(tmp_path))
+        mem_rows = run(cfg)
+        emit_outputs(cfg, mem_rows)
         rows = read_sweep_csv(os.path.join(tmp_path, "sweep.csv"))
-        for disk, mem in zip(rows, res.rows):
+        for disk, mem in zip(rows, mem_rows):
             assert disk["energy"] == mem.energy
             assert disk["energy_stderr"] == mem.energy_stderr
             assert disk["zero_velocity_fraction"] == mem.zero_velocity_fraction
