@@ -339,14 +339,9 @@ def run(config: RunConfig) -> list:
 
     Every ensemble of the run maps its chunks over one worker pool of
     min(n_workers, largest ensemble) processes, opened here and shut down,
-    its workers joined, before this returns or raises.  A run with the
-    classical engine loads scipy.special (the kernel's ellipj) before the
-    pool forks, so the workers inherit it instead of each importing it;
-    a quantum-only run loads no scipy.
+    its workers joined, before this returns or raises.
     """
     config.validate()
-    if ENGINE_CLASSICAL in config.engines():
-        import scipy.special  # noqa: F401
     largest = max(
         config.n_traj_classical if engine == ENGINE_CLASSICAL else config.n_traj_quantum
         for engine in config.engines()

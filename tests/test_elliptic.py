@@ -1,8 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
-import scipy
+from scipy.special import ellipj
 
-from aokr.elliptic import _wrap_angle, pendulum_step
+from aokr.elliptic import _ellipj, _wrap_angle, pendulum_step
 from oracles import _pendulum_reference_batch, pendulum_step_reference
 
 
@@ -68,10 +69,9 @@ class TestPendulumStep:
 
     def test_near_separatrix_matches_per_row_oracle(self):
         # |m - 1| log-uniform over both branches and both signs of rho,
-        # with the start spread over the orbit.  Cephes ellipj switches
-        # to an approximation for m >= 1 - 1e-10 that is wrong near
-        # u ~ K; the kernel only evaluates it at u = rate * dt: engine-sized
-        # steps, then steps up to 0.05 (u up to about 1.3) on fewer rows.
+        # with the start spread over the orbit: engine-sized steps (u = rate
+        # * dt in the series regime), then steps up to 0.05 (u up to about
+        # 1.3, most rows in the Landen regime) on fewer rows.
         def starts(rng, m, s2, k):
             # s2 = sin^2(theta/2) with theta the angle from the stable point
             half = rng.choice([-1.0, 1.0], m.size) * np.arcsin(np.sqrt(s2))
@@ -105,10 +105,8 @@ class TestPendulumStep:
             drho = np.max(np.abs(r1 - r2))
             assert dphi < 1e-9 and drho < 1e-9, (
                 f"near-separatrix error phi {dphi:.2e}, rho {drho:.2e} at steps up to "
-                f"{dt_max:g}, scipy {scipy.__version__}: Cephes ellipj switches to its "
-                "m -> 1 approximation at m >= 1 - 1e-10, accurate only at small u; "
-                "if this scipy moved that switch or lost that accuracy, the kernel "
-                "needs another way to evaluate ellipj(rate * dt, m) there"
+                f"{dt_max:g}: _ellipj(rate * dt, m) or the addition theorem lost "
+                "accuracy as m -> 1 (TestEllipj checks _ellipj alone)"
             )
             # a row's result does not depend on which rows share the call
             p3, r3 = pendulum_step(phi[::2], rho[::2], k[::2], dt[::2])
@@ -159,6 +157,59 @@ class TestPendulumStep:
             pendulum_step(0.0, 0.0, -1.0, 0.1)
         with pytest.raises(ValueError):
             pendulum_step(0.0, 0.0, 1.0, -0.1)
+
+
+class TestEllipj:
+    """_ellipj against 40-digit mpmath: the series regime (|u| <= 1/16) to a
+    few ulps of 1, the Landen and m = 1 regimes beyond it to 1e-14 absolute
+    up to |u| = 13 and 1e-12 out to |u| = 1000; any RuntimeWarning fails
+    the test."""
+
+    @staticmethod
+    def _reference(u, m):
+        with mpmath.workdps(40):
+            return np.array(
+                [[float(mpmath.ellipfun(f, mpmath.mpf(x), m=mpmath.mpf(m))) for x in u]
+                 for f in ("sn", "cn", "dn")]
+            )
+
+    @pytest.mark.parametrize("m", [0.0, 1e-300, 1e-9, 0.5, 1.0 - 2.0**-53, 1.0])
+    def test_matches_mpmath(self, m):
+        rng = np.random.default_rng(1916)
+        edge = 1.0 / 16.0
+        ranges = [
+            (0.0, edge, 3e-16, [0.0, edge]),
+            (edge, 2.0, 1e-14, [np.nextafter(edge, 1.0)]),
+            (2.0, 13.0, 1e-14, [13.0]),
+            (13.0, 1e3, 1e-12, [1e3]),
+        ]
+        for lo, hi, bound, ends in ranges:
+            u = np.concatenate([ends, rng.uniform(lo, hi, 40)])
+            u = np.concatenate([u, -u])
+            got = np.array(_ellipj(u, np.full(u.size, m)))
+            err = np.max(np.abs(got - self._reference(u, m)))
+            assert err <= bound, f"|u| in [{lo:g}, {hi:g}], m = {m!r}: error {err:.2e}"
+
+    def test_mixed_batch_matches_one_row_calls(self):
+        # both regimes, the separatrix and m = 0 in one call: each row's bits
+        # are those of its own one-row call
+        rng = np.random.default_rng(77)
+        u = np.concatenate([rng.uniform(-0.0625, 0.0625, 12), rng.uniform(-20.0, 20.0, 12)])
+        m = rng.choice([0.0, 0.3, 1.0 - 1e-12, 1.0], u.size)
+        out = np.array(_ellipj(u, m))
+        for i in range(u.size):
+            one = np.array(_ellipj(u[i:i + 1], m[i:i + 1]))
+            assert out[:, i:i + 1].tobytes() == one.tobytes(), i
+
+    def test_cross_checks_cephes(self):
+        # scipy's ellipj wherever Cephes itself is accurate: m below its
+        # m -> 1 switch and |u| up to 13
+        rng = np.random.default_rng(5)
+        u = np.concatenate([rng.uniform(-0.0625, 0.0625, 500), rng.uniform(-13.0, 13.0, 500)])
+        m = rng.uniform(0.0, 0.99, u.size)
+        ours = np.array(_ellipj(u, m))
+        theirs = np.array(ellipj(u, m)[:3])
+        assert np.max(np.abs(ours - theirs)) < 1e-13
 
 
 class TestPendulumReference:

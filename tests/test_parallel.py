@@ -1,12 +1,9 @@
 import filecmp
 import multiprocessing
 import os
-import subprocess
-import sys
 
 import pytest
 
-import aokr
 from aokr import parallel
 from aokr.parallel import chunk_bounds, chunked_map
 from aokr.quantum_sim import GridOverflowError
@@ -83,38 +80,6 @@ def test_one_pool_per_run_and_no_worker_left(executors):
 def test_pool_is_no_larger_than_the_largest_ensemble(executors):
     run(_small_config(mode="single", engine="quantum", n_traj_quantum=3, n_workers=4))
     assert executors == [3]
-
-
-@pytest.mark.parametrize("engine", ["classical", "both"])
-def test_parent_loads_scipy_special_before_the_pool_forks(engine):
-    # a fresh interpreter, so scipy.special is loaded only if the run loads
-    # it; the workers inherit what the parent holds at the pool's first submit
-    script = f"""
-import sys
-from aokr import parallel
-from aokr.runner import RunConfig, run
-
-loaded_at_submit = []
-
-class Recording(parallel.ProcessPoolExecutor):
-    def submit(self, *args, **kwargs):
-        loaded_at_submit.append("scipy.special" in sys.modules)
-        return super().submit(*args, **kwargs)
-
-parallel.ProcessPoolExecutor = Recording
-print("scipy" in sys.modules)
-run(RunConfig(mode="single", engine={engine!r}, n_tot=2, n_traj_classical=64,
-              n_traj_quantum=8, n_max=64, cloud_sigma_mm=0.0, seed=5, n_workers=2))
-print(loaded_at_submit[0])
-"""
-    printed = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aokr.__file__))},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.split()
-    assert printed == ["False", "True"]
 
 
 def test_no_worker_left_after_a_run_raises():

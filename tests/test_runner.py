@@ -337,10 +337,11 @@ class TestCli:
         heavy = {"scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.sparse"}
         assert sorted(heavy.intersection(loaded)) == []
 
-    def test_quantum_only_run_and_validate_load_no_scipy(self, tmp_path):
-        # only the classical kernel needs scipy (ellipj); the timeline's erf
-        # is math.erf, so validating any config and running the quantum
-        # engine import no scipy module
+    def test_every_engine_run_and_validate_load_no_scipy(self, tmp_path):
+        # the timeline's erf is math.erf and the kernel's sn, cn, dn are
+        # numpy, so validating any config and running any engine import no
+        # scipy module; the --workers 1 run executes both engines' kernels
+        # in this process, the --workers 2 runs open the pool
         import subprocess
         import sys
 
@@ -352,9 +353,11 @@ import aokr.cli
 from aokr.runner import RunConfig
 for engine in ("classical", "quantum", "both"):
     RunConfig(engine=engine).validate()
-argv = ["single", "--engine", "quantum", "--n-traj-quantum", "4", "--n-tot", "3",
-        "--cloud-sigma-mm", "0", "--seed", "1", "--workers", "2", "--out", {str(tmp_path)!r}]
-assert aokr.cli.main(argv) == 0
+for engine, workers in (("quantum", 2), ("classical", 2), ("both", 2), ("both", 1)):
+    argv = ["single", "--engine", engine, "--n-traj-classical", "16", "--n-traj-quantum", "4",
+            "--n-tot", "3", "--cloud-sigma-mm", "0", "--seed", "1", "--workers", str(workers),
+            "--out", {str(tmp_path)!r} + f"/{{engine}}{{workers}}"]
+    assert aokr.cli.main(argv) == 0
 print(*sys.modules)
 """
         loaded = subprocess.run(
@@ -364,9 +367,10 @@ print(*sys.modules)
             text=True,
             check=True,
         ).stdout.splitlines()[-1].split()
-        assert "aokr.quantum_sim" in loaded
+        assert {"aokr.quantum_sim", "aokr.classical_sim", "aokr.elliptic"} <= set(loaded)
         assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
-        assert (tmp_path / "sweep.csv").exists()
+        for run_dir in ("quantum2", "classical2", "both2", "both1"):
+            assert (tmp_path / run_dir / "sweep.csv").exists()
 
     def test_single_run(self, tmp_path, capsys):
         from aokr.cli import main
