@@ -337,39 +337,58 @@ class TestCli:
         heavy = {"scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.sparse"}
         assert sorted(heavy.intersection(loaded)) == []
 
-    def test_every_engine_run_and_validate_load_no_scipy(self, tmp_path):
-        # the timeline's erf is math.erf and the kernel's sn, cn, dn are
-        # numpy, so validating any config and running any engine import no
-        # scipy module; the --workers 1 run executes both engines' kernels
-        # in this process, the --workers 2 runs open the pool
+    @staticmethod
+    def _modules_loaded_by(script):
+        # a fresh interpreter, so a module is listed only if the script loads it
         import subprocess
         import sys
 
         import aokr
 
-        script = f"""
-import sys
-import aokr.cli
-from aokr.runner import RunConfig
-for engine in ("classical", "quantum", "both"):
-    RunConfig(engine=engine).validate()
-for engine, workers in (("quantum", 2), ("classical", 2), ("both", 2), ("both", 1)):
-    argv = ["single", "--engine", engine, "--n-traj-classical", "16", "--n-traj-quantum", "4",
-            "--n-tot", "3", "--cloud-sigma-mm", "0", "--seed", "1", "--workers", str(workers),
-            "--out", {str(tmp_path)!r} + f"/{{engine}}{{workers}}"]
-    assert aokr.cli.main(argv) == 0
-print(*sys.modules)
-"""
-        loaded = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aokr.__file__))},
             capture_output=True,
             text=True,
             check=True,
         ).stdout.splitlines()[-1].split()
+
+    def test_quantum_only_run_and_validate_load_no_scipy(self, tmp_path):
+        # the timeline's erf is math.erf, so validating any config and
+        # running the quantum engine import no scipy module
+        loaded = self._modules_loaded_by(f"""
+import sys
+import aokr.cli
+from aokr.runner import RunConfig
+for engine in ("classical", "quantum", "both"):
+    RunConfig(engine=engine).validate()
+argv = ["single", "--engine", "quantum", "--n-traj-quantum", "4", "--n-tot", "3",
+        "--cloud-sigma-mm", "0", "--seed", "1", "--workers", "2", "--out", {str(tmp_path)!r}]
+assert aokr.cli.main(argv) == 0
+print(*sys.modules)
+""")
+        assert "aokr.quantum_sim" in loaded
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+        assert (tmp_path / "sweep.csv").exists()
+
+    def test_classical_and_both_runs_load_no_scipy(self, tmp_path):
+        # the kernel's sn, cn, dn are numpy, so a run with the classical
+        # engine imports no scipy module either; the --workers 1 run executes
+        # both engines' kernels in this process, the --workers 2 runs open
+        # the pool
+        loaded = self._modules_loaded_by(f"""
+import sys
+import aokr.cli
+for engine, workers in (("classical", 2), ("both", 2), ("both", 1)):
+    argv = ["single", "--engine", engine, "--n-traj-classical", "16", "--n-traj-quantum", "4",
+            "--n-tot", "3", "--cloud-sigma-mm", "0", "--seed", "1", "--workers", str(workers),
+            "--out", {str(tmp_path)!r} + f"/{{engine}}{{workers}}"]
+    assert aokr.cli.main(argv) == 0
+print(*sys.modules)
+""")
         assert {"aokr.quantum_sim", "aokr.classical_sim", "aokr.elliptic"} <= set(loaded)
         assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
-        for run_dir in ("quantum2", "classical2", "both2", "both1"):
+        for run_dir in ("classical2", "both2", "both1"):
             assert (tmp_path / run_dir / "sweep.csv").exists()
 
     def test_single_run(self, tmp_path, capsys):
