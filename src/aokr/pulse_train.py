@@ -138,19 +138,15 @@ def build_train_spec(
     """Split n_total kicks between the trains so the run is as short as possible.
 
     Scans every split N + M = n_total and keeps the one minimising the
-    later of the two train end times, max((N-1), alpha0 + (M-1) r).
-    Ties go to the larger N so the split is deterministic.
+    later of the two train end times, max((N-1), alpha0 + (M-1) r).  The
+    scan runs from N = n_total down and min keeps the first of equal
+    durations, so ties go to the larger N and the split is deterministic.
+    The spec checks r, alpha0 and the kick strengths.
     """
-    if n_total < 1:  # the scan needs a kick; the spec checks r and alpha0
+    if n_total < 1:  # the scan needs a kick
         raise ValueError(f"n_total: must be >= 1, got {n_total}")
-    best = None
-    for n in range(n_total + 1):
-        m = n_total - n
-        dur = _train_duration(n, m, r, alpha0)
-        if best is None or dur <= best[0]:
-            best = (dur, n, m)
-    _, n, m = best
-    return TwoFreqTrainSpec(r, alpha0, n, m, kappa1, kappa2, shape, kbar)
+    n = min(range(n_total, -1, -1), key=lambda n: _train_duration(n, n_total - n, r, alpha0))
+    return TwoFreqTrainSpec(r, alpha0, n, n_total - n, kappa1, kappa2, shape, kbar)
 
 
 def _raw_envelope(t_rel, shape: PulseShapeParams):
@@ -180,15 +176,6 @@ def _erf_antiderivative(x, delta):
         return np.abs(x)
     with np.errstate(over="ignore", divide="ignore"):  # exp(-inf) = 0
         return x * _erf(c * x) + (delta / math.pi) * np.exp(-((c * x) ** 2))
-
-
-def _window_area(shape: PulseShapeParams, a: float, b: float) -> float:
-    """Closed-form integral of the unclamped unit envelope over [a, b]."""
-    t1 = -0.5 * shape.fwhm
-    t2 = 0.5 * shape.fwhm
-    up = _erf_antiderivative(b - t1, shape.rise_time) - _erf_antiderivative(a - t1, shape.rise_time)
-    down = _erf_antiderivative(b - t2, shape.fall_time) - _erf_antiderivative(a - t2, shape.fall_time)
-    return 0.5 * float(up - down)
 
 
 def _edge_bracket(shape: PulseShapeParams) -> float:
@@ -261,43 +248,36 @@ def pulse_envelope(t_rel, k_max: float, shape: PulseShapeParams):
 
 
 def unit_pulse_area(shape: PulseShapeParams) -> float:
-    """Area of the clamped unit-height envelope."""
+    """Area of the clamped unit-height envelope: the closed-form integral
+    of the unclamped envelope over the on window (relative error at
+    machine level).  A train of strength kappa has peak kappa / area."""
     on, off = _threshold_window(shape)
-    return _window_area(shape, on, off)
-
-
-def normalize_height(kappa: float, shape: PulseShapeParams) -> float:
-    """Peak height k_max giving the clamped envelope a time integral of kappa.
-
-    Square pulses reduce to k_max = kappa / width; shaped pulses use the
-    closed-form erf antiderivative over the on window (relative error at
-    machine level, well inside 1e-10).
-    """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if kappa == 0:
-        return 0.0
-    area = unit_pulse_area(shape)
-    if not (area > 0):
-        raise ValueError("degenerate pulse shape: zero envelope area")
-    return kappa / area
+    t1 = -0.5 * shape.fwhm
+    t2 = 0.5 * shape.fwhm
+    up = _erf_antiderivative(off - t1, shape.rise_time) - _erf_antiderivative(on - t1, shape.rise_time)
+    down = _erf_antiderivative(off - t2, shape.fall_time) - _erf_antiderivative(on - t2, shape.fall_time)
+    return 0.5 * float(up - down)
 
 
 @dataclass(frozen=True)
 class ResultantPulse:
     """One maximal on interval of the summed envelope, with its step grid.
 
-    k_mid holds the envelope at the midpoints of n_steps uniform steps;
-    area is the exact envelope integral over [start, end]; constituents
-    lists (train_id, centre) for every pulse contributing to the interval.
+    k_mid holds the envelope at the midpoints of uniform steps over
+    [start, end], one entry per step, so n_steps is its length; area is
+    the exact envelope integral over [start, end]; constituents lists
+    (train_id, centre) for every pulse contributing to the interval.
     """
 
     start: float
     end: float
-    n_steps: int
     k_mid: np.ndarray
     area: float
     constituents: tuple
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.k_mid)
 
     @property
     def step(self) -> float:
@@ -331,12 +311,15 @@ def resolve_timeline(
     single-pulse step, or part of one, that its constituents' centres
     spread over.  An isolated or exactly coincident pulse thus has
     min_steps_per_pulse steps, and no step exceeds the single-pulse step,
-    so overlap-lengthened pulses are sampled at least as finely.
+    so overlap-lengthened pulses are sampled at least as finely.  Each
+    train's peak height is its kappa over the one unit pulse area of the
+    shape; a kappa = 0 train contributes no pulses.
     """
     if min_steps_per_pulse < 1:
         raise ValueError(f"min_steps_per_pulse: must be >= 1, got {min_steps_per_pulse}")
     kappa = {1: spec.kappa1, 2: spec.kappa2}
-    kmax = {tr: normalize_height(k, spec.shape) for tr, k in kappa.items()}
+    area = unit_pulse_area(spec.shape)
+    kmax = {tr: k / area for tr, k in kappa.items()}
     on, off = _threshold_window(spec.shape)
     base_step = (off - on) / min_steps_per_pulse
 
@@ -362,14 +345,12 @@ def resolve_timeline(
         k_mid = np.zeros(n_steps)
         for tr, c in members:
             k_mid += pulse_envelope(tau_mid - c, kmax[tr], shape)
-        area = sum(kappa[tr] for tr, _ in members)
         pulses.append(
             ResultantPulse(
                 start=float(start),
                 end=float(end),
-                n_steps=n_steps,
                 k_mid=k_mid,
-                area=float(area),
+                area=float(sum(kappa[tr] for tr, _ in members)),
                 constituents=tuple(members),
             )
         )

@@ -127,10 +127,11 @@ def _energies(psi, q, kbar: float):
     return 0.5 * np.sum(weights * momenta**2, axis=1), weights, momenta
 
 
-def _jump(c, q: float, u: float):
-    """Add the recoil u to the momentum offset q of one row, so <rho>
-    moves by exactly u, and renormalise.  Returns (amplitudes, q)."""
-    return c / np.sqrt(_norms_sq(c)), q + u
+def _jump(c, q, u):
+    """Add the recoils u to the momentum offsets q of a block of rows c
+    (or of one row), so each row's <rho> moves by exactly its u, and
+    renormalise each row.  Returns (amplitudes, q)."""
+    return c / np.sqrt(_norms_sq(c)[..., None]), q + u
 
 
 @dataclass(frozen=True)
@@ -178,10 +179,10 @@ def _quantum_chunk(job):
         decay_scale = 0.5 * params.eta_per_pulse * pulse.n_constituents / pulse.area
         _pulse_rows(psi, q, kf, decay_scale, pulse.k_mid, pulse.step, kbar)
         norms2 = _norms_sq(psi)
-        for i in np.flatnonzero(norms2 < thresholds[rows, jump_counts]):
-            psi[i], q[i] = _jump(psi[i], q[i], recoils[i, jump_counts[i]])
-            norms2[i] = 1.0
-            jump_counts[i] += 1
+        jump = norms2 < thresholds[rows, jump_counts]
+        psi[jump], q[jump] = _jump(psi[jump], q[jump], recoils[jump, jump_counts[jump]])
+        norms2[jump] = 1.0
+        jump_counts[jump] += 1
         rel = np.abs(psi[:, n_max - 1 : n_max + 1]).max(axis=1) ** 2 / norms2
         if np.any(rel >= limit):
             bad = int(np.argmax(rel >= limit))
@@ -198,7 +199,7 @@ def _quantum_chunk(job):
 def run_mcwf_trajectories(
     timeline: ResolvedTimeline,
     params: EnsembleParams,
-    n_traj: int = 1000,
+    n_traj: int,
     *,
     n_max: int = DEFAULT_N_MAX,
     sweep_index: int = 0,

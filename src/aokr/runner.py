@@ -253,15 +253,17 @@ class SweepRow:
     n_max: int  # the quantum ladder half size used (0 for classical rows)
 
 
-def _run_point(config: RunConfig, timeline, sweep_index: int, sweep_value: float):
-    """Run the selected engines on one resolved timeline.
+def _run_point(
+    config: RunConfig, params: EnsembleParams, timeline, sweep_index: int, sweep_value: float
+):
+    """Run the selected engines on one resolved timeline with the run's
+    ensemble parameters.
 
     Each engine yields per-trajectory momenta (one sample per classical
     trajectory, a weighted ladder per quantum one) and energies; every row
     is reduced from those the same way.
     """
     rows = []
-    params = config.ensemble_params()
     for engine in config.engines():
         if engine == ENGINE_CLASSICAL:
             momenta = run_classical_ensemble(
@@ -321,15 +323,10 @@ def sweep_points(config: RunConfig):
     else:
         psi0s = [config.psi0_deg] if config.mode == MODE_SINGLE else phase_sweep_values(config)
         points = [(psi0, config.ratio, psi0) for psi0 in psi0s]
+    shape, kbar = config.pulse_shape(), config.kbar_effective
     for sweep_value, ratio, psi0 in points:
         yield sweep_value, build_train_spec(
-            ratio,
-            (psi0 / 360.0) % 1.0,
-            config.n_tot,
-            config.kappa1,
-            config.kappa2,
-            config.pulse_shape(),
-            config.kbar_effective,
+            ratio, (psi0 / 360.0) % 1.0, config.n_tot, config.kappa1, config.kappa2, shape, kbar
         )
 
 
@@ -346,11 +343,12 @@ def run(config: RunConfig) -> list:
         config.n_traj_classical if engine == ENGINE_CLASSICAL else config.n_traj_quantum
         for engine in config.engines()
     )
+    params = config.ensemble_params()
     rows = []
     with worker_pool(min(config.n_workers, largest)):
         for idx, (sweep_value, spec) in enumerate(sweep_points(config)):
             timeline = resolve_timeline(spec, config.min_steps_per_pulse)
-            rows.extend(_run_point(config, timeline, idx, sweep_value))
+            rows.extend(_run_point(config, params, timeline, idx, sweep_value))
     return rows
 
 

@@ -91,7 +91,6 @@ def zero_height_pulse(n_steps=16, n_constituents=1):
     return ResultantPulse(
         start=0.0,
         end=0.016,
-        n_steps=n_steps,
         k_mid=np.zeros(n_steps),
         area=0.0,
         constituents=tuple((train, 0.008) for train in range(1, n_constituents + 1)),

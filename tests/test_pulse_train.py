@@ -12,7 +12,6 @@ from aokr.pulse_train import (
     PulseShapeParams,
     TwoFreqTrainSpec,
     build_train_spec,
-    normalize_height,
     pulse_envelope,
     resolve_timeline,
     unit_pulse_area,
@@ -193,26 +192,6 @@ class TestMathErf:
             assert _rising_edge(shape) == edge, shape
 
 
-class TestNormalizeHeight:
-    def test_square_pulse_arithmetic(self):
-        shape = PulseShapeParams.square(0.016)
-        assert normalize_height(10.1, shape) == pytest.approx(631.25, rel=1e-12)
-
-    def test_zero_kappa(self):
-        assert normalize_height(0.0, measured_shape()) == 0.0
-
-    def test_measured_shape_against_quadrature_oracle(self):
-        shape = measured_shape()
-        k_max = normalize_height(10.1, shape)
-        on, off = _threshold_window(shape)
-        area = envelope_area_quadrature(lambda t: pulse_envelope(t, k_max, shape), on, off)
-        assert abs(area - 10.1) < 1e-8
-
-    def test_negative_kappa_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_height(-1.0, measured_shape())
-
-
 class TestBuildTrainSpec:
     def test_half_phase_split(self):
         spec = build_train_spec(1.0, 0.5, 30, 10.1, 10.1, measured_shape(), KBAR)
@@ -232,6 +211,16 @@ class TestBuildTrainSpec:
             spec = build_train_spec(r, alpha0, n_tot, 1.0, 1.0, shape, KBAR)
             assert (spec.n_first, spec.n_second) == brute_force_split(r, alpha0, n_tot)
 
+    # n_tot = 3 is the psi0 = 0 point of a 3-kick phase sweep at r = 1
+    @pytest.mark.parametrize("n_tot", [1, 3, 5])
+    def test_ties_go_to_the_larger_first_train(self, n_tot):
+        # at r = 1, alpha0 = 0 two splits share the shortest duration
+        splits = range(n_tot + 1)
+        durations = [pulse_train._train_duration(n, n_tot - n, 1.0, 0.0) for n in splits]
+        assert durations.count(min(durations)) == 2
+        spec = build_train_spec(1.0, 0.0, n_tot, 1.0, 1.0, measured_shape(), KBAR)
+        assert (spec.n_first, spec.n_second) == brute_force_split(1.0, 0.0, n_tot)
+
     def test_specific_derived_case(self):
         spec = build_train_spec(1.4, 0.2, 30, 10.1, 10.1, measured_shape(), KBAR)
         assert (spec.n_first, spec.n_second) == brute_force_split(1.4, 0.2, 30)
@@ -243,6 +232,10 @@ class TestBuildTrainSpec:
             build_train_spec(1.0, 0.0, 0, 1.0, 1.0, measured_shape(), KBAR)
         with pytest.raises(ValueError):
             build_train_spec(1.0, 1.2, 30, 1.0, 1.0, measured_shape(), KBAR)
+        with pytest.raises(ValueError, match="kappa1"):
+            build_train_spec(1.0, 0.0, 30, -1.0, 1.0, measured_shape(), KBAR)
+        with pytest.raises(ValueError, match="kappa2"):
+            build_train_spec(1.0, 0.0, 30, 1.0, -1.0, measured_shape(), KBAR)
 
 
 class TestResolveTimeline:
@@ -269,7 +262,21 @@ class TestResolveTimeline:
         assert tl.n_res == 8
         for pulse in tl.pulses:
             assert pulse.n_steps == 16
-            assert np.allclose(pulse.k_mid, 631.25)
+            assert np.allclose(pulse.k_mid, 631.25, rtol=1e-12, atol=0.0)
+
+    def test_zero_kappa_train_resolves_to_no_pulses(self):
+        assert resolve_timeline(single_train_spec(5, 0.0, measured_shape(), KBAR)).n_res == 0
+        spec = build_train_spec(1.0, 0.5, 6, 0.0, 10.1, measured_shape(), KBAR)
+        tl = resolve_timeline(spec)
+        assert tl.n_res == spec.n_second
+        assert all(train == 2 for p in tl.pulses for train, _ in p.constituents)
+
+    def test_peak_height_against_quadrature_oracle(self):
+        shape = measured_shape()
+        k_max = 10.1 / unit_pulse_area(shape)
+        on, off = _threshold_window(shape)
+        area = envelope_area_quadrature(lambda t: pulse_envelope(t, k_max, shape), on, off)
+        assert abs(area - 10.1) < 1e-8
 
     def test_area_conservation_random_configs(self):
         rng = np.random.default_rng(4)
@@ -292,7 +299,7 @@ class TestResolveTimeline:
         tl = resolve_timeline(spec)
         pulse = tl.pulses[0]
         shape = spec.shape
-        k_max = normalize_height(10.1, shape)
+        k_max = 10.1 / unit_pulse_area(shape)
         area = envelope_area_quadrature(
             lambda t: sum(pulse_envelope(t - c, k_max, shape) for _, c in pulse.constituents),
             pulse.start,

@@ -282,6 +282,14 @@ class TestEnsemble:
             c = run_mcwf_trajectories(tl, params, 96, n_max=128, chunk_size=chunk_size)
             for field in ("momenta", "weights", "energies", "jump_counts"):
                 assert np.array_equal(getattr(c, field), getattr(a, field)), (field, chunk_size)
+        # rows of one block that jump at the same pulse: one kick, all rows in one chunk
+        tl = resolve_timeline(single_train_spec(1, 10.1, PulseShapeParams.square(0.016), KBAR))
+        params = params_with(eta_per_pulse=0.9, rng_seed=8)
+        block = run_mcwf_trajectories(tl, params, 96, n_max=128, chunk_size=96)
+        assert block.jump_counts.sum() >= 2
+        rows = run_mcwf_trajectories(tl, params, 96, n_max=128, chunk_size=1)
+        for field in ("momenta", "weights", "energies", "jump_counts"):
+            assert np.array_equal(getattr(rows, field), getattr(block, field)), field
 
     def test_both_histogram_tails_keep_their_mass(self):
         # the populations far out on either side are ~1e-31; binning must
