@@ -192,6 +192,24 @@ class TestMathErf:
             assert _rising_edge(shape) == edge, shape
 
 
+class TestNormalizeHeight:
+    """A train's peak height is its kappa over the shape's unit pulse area."""
+
+    def test_square_pulse_arithmetic(self):
+        shape = PulseShapeParams.square(0.016)
+        assert unit_pulse_area(shape) == pytest.approx(0.016, rel=1e-12)
+        (pulse,) = resolve_timeline(single_train_spec(1, 10.1, shape, KBAR)).pulses
+        assert pulse.k_mid.max() == pytest.approx(631.25, rel=1e-12)
+
+    def test_negative_kappa_rejected(self):
+        with pytest.raises(ValueError, match="kappa1"):
+            single_train_spec(5, -1.0, measured_shape(), KBAR)
+        with pytest.raises(ValueError, match="kappa1"):
+            build_train_spec(1.0, 0.0, 30, -1.0, 1.0, measured_shape(), KBAR)
+        with pytest.raises(ValueError, match="kappa2"):
+            build_train_spec(1.0, 0.0, 30, 1.0, -1.0, measured_shape(), KBAR)
+
+
 class TestBuildTrainSpec:
     def test_half_phase_split(self):
         spec = build_train_spec(1.0, 0.5, 30, 10.1, 10.1, measured_shape(), KBAR)
@@ -232,10 +250,6 @@ class TestBuildTrainSpec:
             build_train_spec(1.0, 0.0, 0, 1.0, 1.0, measured_shape(), KBAR)
         with pytest.raises(ValueError):
             build_train_spec(1.0, 1.2, 30, 1.0, 1.0, measured_shape(), KBAR)
-        with pytest.raises(ValueError, match="kappa1"):
-            build_train_spec(1.0, 0.0, 30, -1.0, 1.0, measured_shape(), KBAR)
-        with pytest.raises(ValueError, match="kappa2"):
-            build_train_spec(1.0, 0.0, 30, 1.0, -1.0, measured_shape(), KBAR)
 
 
 class TestResolveTimeline:
