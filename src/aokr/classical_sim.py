@@ -122,12 +122,12 @@ def _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils):
 
 def _classical_chunk(job):
     """Evolve trajectories lo..hi-1; returns their final momenta in recoils."""
-    timeline, params, sweep_index, lo, hi = job
+    timeline, params, lo, hi = job
     n = hi - lo
     n_checks = sum(p.n_constituents for p in timeline.pulses)
     phi, rho, kf = np.empty((3, n))
     triggers, recoils = np.empty((2, n, n_checks))
-    streams = trajectory_streams(params.rng_seed, sweep_index, ENGINE_CLASSICAL, range(lo, hi))
+    streams = trajectory_streams(params.rng_seed, ENGINE_CLASSICAL, range(lo, hi))
     for i, s in enumerate(streams):
         phi[i], rho[i], kf[i] = sample_initial_classical(params, s)
         triggers[i], recoils[i] = draw_emission_pairs(s, n_checks, params.kbar)
@@ -150,22 +150,21 @@ def run_classical_ensemble(
     params: EnsembleParams,
     n_traj: int,
     *,
-    sweep_index: int = 0,
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> np.ndarray:
     """Final momenta (in recoils) of n_traj independent trajectories
     evolved through the timeline, in trajectory order.
 
-    Deterministic for a fixed (rng_seed, sweep_index) regardless of
-    n_workers and chunk_size: trajectory i always draws from its own
-    stream, each chunk is computed as one vectorised unit, and the chunks
-    are concatenated in order.  A chunk holds at most chunk_size rows,
-    and the rows are cut into at least n_workers chunks
+    Deterministic for a fixed rng_seed regardless of n_workers and
+    chunk_size: trajectory i always draws from its own stream, the same
+    on every timeline, each chunk is computed as one vectorised unit, and
+    the chunks are concatenated in order.  A chunk holds at most
+    chunk_size rows, and the rows are cut into at least n_workers chunks
     (parallel.chunk_bounds).
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     bounds = chunk_bounds(n_traj, chunk_size, n_workers)
-    jobs = [(timeline, params, sweep_index, lo, hi) for lo, hi in bounds]
+    jobs = [(timeline, params, lo, hi) for lo, hi in bounds]
     return np.concatenate(chunked_map(_classical_chunk, jobs, n_workers))

@@ -155,7 +155,7 @@ def _quantum_chunk(job):
     normalised populations (rows in FFT order), momentum offsets q and
     jump counts.
     """
-    timeline, params, sweep_index, lo, hi, n_max, limit = job
+    timeline, params, lo, hi, n_max, limit = job
     n_rows = hi - lo
     kbar = params.kbar
     n_pairs = timeline.n_res + 1  # at most one jump per resultant pulse
@@ -163,7 +163,7 @@ def _quantum_chunk(job):
     thresholds, recoils = np.empty((2, n_rows, n_pairs))
     psi = np.zeros((n_rows, 2 * n_max), dtype=np.complex128)
     psi[:, 0] = 1.0
-    streams = trajectory_streams(params.rng_seed, sweep_index, ENGINE_QUANTUM, range(lo, hi))
+    streams = trajectory_streams(params.rng_seed, ENGINE_QUANTUM, range(lo, hi))
     for i, s in enumerate(streams):
         q[i], kf[i] = draw_momentum_and_kick_factor(params, s)
         thresholds[i], recoils[i] = draw_emission_pairs(s, n_pairs, kbar)
@@ -202,7 +202,6 @@ def run_mcwf_trajectories(
     n_traj: int,
     *,
     n_max: int = DEFAULT_N_MAX,
-    sweep_index: int = 0,
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> QuantumEnsembleResult:
@@ -210,11 +209,11 @@ def run_mcwf_trajectories(
     momenta (n + q_i/kbar, in recoils), populations, energy and jump count.
 
     n_max = 0 chooses the grid (see the module docstring); the result
-    records the one used.  Bit-identical for fixed (rng_seed, sweep_index)
-    regardless of n_workers and chunk_size: trajectory i draws everything
-    up front from its own stream (see run_classical_ensemble for the
-    chunking scheme), so a re-run on a larger grid draws the same numbers,
-    and the grid depends on the whole ensemble only.
+    records the one used.  Bit-identical for a fixed rng_seed regardless
+    of n_workers and chunk_size: trajectory i draws everything up front
+    from its own stream, as in run_classical_ensemble, so a re-run on a
+    larger grid draws the same numbers, and the grid depends on the whole
+    ensemble only.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -223,7 +222,7 @@ def run_mcwf_trajectories(
     for size in sizes:
         last = size == sizes[-1]
         limit = BOUNDARY_OCCUPATION_LIMIT if last else SETTLE_OCCUPATION_LIMIT
-        jobs = [(timeline, params, sweep_index, lo, hi, size, limit) for lo, hi in bounds]
+        jobs = [(timeline, params, lo, hi, size, limit) for lo, hi in bounds]
         try:
             chunks = chunked_map(_quantum_chunk, jobs, n_workers)
             break

@@ -2,13 +2,15 @@
 
 text -> RunConfig -> sweep points -> rows -> files.  Config files and CLI
 flags both reach ``RunConfig.from_mapping``, which converts each value by
-its field's type.  ``run`` validates the config, takes each sweep point's
-train spec from ``sweep_points``, resolves the point's pulse timeline and
-runs the selected engines on it; ``emit_outputs`` writes the rows.
+its field's type; the CLI checks the result once, with ``validate``,
+before any engine runs.  ``run`` takes each sweep point's train spec from
+``sweep_points``, resolves the point's pulse timeline and runs the
+selected engines on it; ``emit_outputs`` writes the rows.
 
-A RunConfig fully determines a run; every sweep point gets its own
-counter-based random substream keyed by (seed, sweep index), so rows are
-reproducible bit-for-bit regardless of worker count or execution order.
+A RunConfig fully determines a run.  Every sweep point draws from the
+run's random streams, keyed by seed alone (see streams), so rows are
+reproducible bit-for-bit regardless of worker count, and a point's rows
+do not depend on its place in the sweep.
 """
 
 import dataclasses
@@ -253,9 +255,7 @@ class SweepRow:
     n_max: int  # the quantum ladder half size used (0 for classical rows)
 
 
-def _run_point(
-    config: RunConfig, params: EnsembleParams, timeline, sweep_index: int, sweep_value: float
-):
+def _run_point(config: RunConfig, params: EnsembleParams, timeline, sweep_value: float):
     """Run the selected engines on one resolved timeline with the run's
     ensemble parameters.
 
@@ -267,11 +267,7 @@ def _run_point(
     for engine in config.engines():
         if engine == ENGINE_CLASSICAL:
             momenta = run_classical_ensemble(
-                timeline,
-                params,
-                config.n_traj_classical,
-                sweep_index=sweep_index,
-                n_workers=config.n_workers,
+                timeline, params, config.n_traj_classical, n_workers=config.n_workers
             )
             weights, energies, n_max = None, momenta**2 / 2.0, 0
         else:
@@ -280,7 +276,6 @@ def _run_point(
                 params,
                 config.n_traj_quantum,
                 n_max=config.n_max,
-                sweep_index=sweep_index,
                 n_workers=config.n_workers,
             )
             momenta, weights, energies, n_max = r.momenta, r.weights, r.energies, r.n_max
@@ -331,14 +326,13 @@ def sweep_points(config: RunConfig):
 
 
 def run(config: RunConfig) -> list:
-    """Validate the config, then run its engines on each sweep point in order;
+    """Run a validated config's engines on each sweep point in order;
     returns the SweepRows in sweep order, each point's engines in turn.
 
     Every ensemble of the run maps its chunks over one worker pool of
     min(n_workers, largest ensemble) processes, opened here and shut down,
     its workers joined, before this returns or raises.
     """
-    config.validate()
     largest = max(
         config.n_traj_classical if engine == ENGINE_CLASSICAL else config.n_traj_quantum
         for engine in config.engines()
@@ -346,9 +340,9 @@ def run(config: RunConfig) -> list:
     params = config.ensemble_params()
     rows = []
     with worker_pool(min(config.n_workers, largest)):
-        for idx, (sweep_value, spec) in enumerate(sweep_points(config)):
+        for sweep_value, spec in sweep_points(config):
             timeline = resolve_timeline(spec, config.min_steps_per_pulse)
-            rows.extend(_run_point(config, params, timeline, idx, sweep_value))
+            rows.extend(_run_point(config, params, timeline, sweep_value))
     return rows
 
 

@@ -1,9 +1,9 @@
 """Counter-based random streams for reproducible parallel ensembles.
 
-Every trajectory owns a private Philox stream keyed by
-(seed, sweep index) with the (engine, trajectory) pair in the counter
-block, so results are independent of worker count, chunking, and sweep
-point execution order.
+Every trajectory owns a private Philox stream keyed by (seed, 0) with the
+(engine, trajectory) pair in the counter block, so results are independent
+of worker count and chunking, and trajectory i draws the same numbers at
+every sweep point.
 """
 
 import numpy as np
@@ -14,21 +14,21 @@ ENGINE_QUANTUM = 1
 _MASK64 = (1 << 64) - 1
 
 
-def trajectory_stream(seed: int, sweep_index: int, engine_id: int, traj_index: int):
-    """Independent Generator for one trajectory of one sweep point."""
-    key = np.array([seed & _MASK64, sweep_index & _MASK64], dtype=np.uint64)
+def trajectory_stream(seed: int, subkey: int, engine_id: int, traj_index: int):
+    """Independent Generator for one trajectory; runs use subkey 0."""
+    key = np.array([seed & _MASK64, subkey & _MASK64], dtype=np.uint64)
     counter = np.array([0, engine_id & _MASK64, traj_index & _MASK64, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def trajectory_streams(seed: int, sweep_index: int, engine_id: int, traj_indices):
-    """Yield the stream of each trajectory in traj_indices, in order.
+def trajectory_streams(seed: int, engine_id: int, traj_indices):
+    """Yield the run's stream of each trajectory in traj_indices, in order.
 
     One Philox is re-keyed per trajectory (its fresh state with the
     trajectory's counter), several times cheaper than a new Generator.
     The same Generator is yielded each time: it is valid until the next.
     """
-    rng = trajectory_stream(seed, sweep_index, engine_id, 0)
+    rng = trajectory_stream(seed, 0, engine_id, 0)
     state = rng.bit_generator.state
     for i in traj_indices:
         state["state"]["counter"][2] = i & _MASK64

@@ -353,7 +353,7 @@ class TestEnsemble:
         # at T = 0 only jumps move q
         n_traj, n_max = 16, 64
         params = params_with(eta_per_pulse=0.6, **cold)
-        q = _quantum_chunk((tl, params, 0, 0, n_traj, n_max, BOUNDARY_OCCUPATION_LIMIT))[2]
+        q = _quantum_chunk((tl, params, 0, n_traj, n_max, BOUNDARY_OCCUPATION_LIMIT))[2]
         assert np.abs(q).max() > KBAR / 2
         result = run_mcwf_trajectories(tl, params, n_traj, n_max=n_max)
         dist = MomentumDistribution.from_samples(result.momenta, 0.5, result.weights)
@@ -423,7 +423,7 @@ class TestGridChoice:
         outgrow = []
         for i in range(self.N_TRAJ):
             try:
-                _quantum_chunk((tl, params, 0, i, i + 1, 64, quantum_sim.SETTLE_OCCUPATION_LIMIT))
+                _quantum_chunk((tl, params, i, i + 1, 64, quantum_sim.SETTLE_OCCUPATION_LIMIT))
             except GridOverflowError:
                 outgrow.append(i)
         assert 0 < len(outgrow) < self.N_TRAJ
@@ -461,7 +461,7 @@ class TestGridChoice:
         result = run_mcwf_trajectories(tl, params, self.N_TRAJ, n_max=64, chunk_size=10)
         assert result.n_max == 64
         for lo, hi in ((0, 10), (10, 20), (20, self.N_TRAJ)):
-            job = (tl, params, 0, lo, hi, 64, BOUNDARY_OCCUPATION_LIMIT)
+            job = (tl, params, lo, hi, 64, BOUNDARY_OCCUPATION_LIMIT)
             energies, _, _, jumps = _quantum_chunk(job)
             assert np.array_equal(result.energies[lo:hi], energies)
             assert np.array_equal(result.jump_counts[lo:hi], jumps)

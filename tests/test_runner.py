@@ -239,6 +239,26 @@ class TestSweeps:
             (110.0, "quantum"),
         ]
 
+    def test_point_rows_do_not_depend_on_place_in_sweep(self):
+        # every point draws from the run's streams, so the second point of
+        # a sweep gives the rows of a single run at its phase
+        kw = dict(engine="both", eta=0.1, n_traj_classical=32, n_traj_quantum=6)
+        sweep = run(
+            fast_config(
+                mode="phase_sweep", psi0_start_deg=100.0, psi0_stop_deg=110.0,
+                psi0_step_deg=10.0, **kw,
+            )
+        )
+        single = run(fast_config(psi0_deg=110.0, **kw))
+        assert [r.sweep_value for r in sweep[2:]] == [r.sweep_value for r in single] == [110.0] * 2
+        for a, b in zip(sweep[2:], single):
+            assert a.engine == b.engine
+            assert a.energy == b.energy
+            assert a.energy_stderr == b.energy_stderr
+            assert a.zero_velocity_fraction == b.zero_velocity_fraction
+            assert np.array_equal(a.distribution.bin_centers, b.distribution.bin_centers)
+            assert np.array_equal(a.distribution.masses, b.distribution.masses)
+
     def test_one_timeline_per_point_and_none_from_validate(self, monkeypatch):
         from aokr import runner
 
@@ -273,7 +293,7 @@ class TestSweeps:
             cfg.kbar_effective,
         )
         tl = resolve_timeline(spec, cfg.min_steps_per_pulse)
-        m = run_classical_ensemble(tl, cfg.ensemble_params(), cfg.n_traj_classical, sweep_index=0)
+        m = run_classical_ensemble(tl, cfg.ensemble_params(), cfg.n_traj_classical)
         assert row.energy == energy(m)
         assert row.energy_stderr == energy_stderr(m)
 
@@ -407,6 +427,23 @@ print(*sys.modules)
         out = capsys.readouterr().out
         assert "engine=classical" in out
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_cli_run_validates_its_config_once(self, tmp_path, monkeypatch):
+        from aokr.cli import main
+
+        calls = []
+        validate = RunConfig.validate
+
+        def counted(self):
+            calls.append(self.mode)
+            return validate(self)
+
+        monkeypatch.setattr(RunConfig, "validate", counted)
+        argv = ["phase-sweep", "--psi0-start", "0", "--psi0-stop", "45", "--psi0-step", "45",
+                "--engine", "classical", "--n-traj-classical", "16", "--n-tot", "3",
+                "--cloud-sigma-mm", "0", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == ["phase_sweep"]
 
     def test_quantum_row_reports_its_grid(self, tmp_path, capsys):
         from aokr.cli import main

@@ -19,9 +19,9 @@ def draw_mix(rng, i):
 
 @pytest.mark.parametrize("engine_id", [ENGINE_CLASSICAL, ENGINE_QUANTUM])
 def test_rekeyed_streams_match_fresh_generators(engine_id):
-    seed, sweep_index = 2**64 - 3, 5
-    key = np.array([seed, sweep_index], dtype=np.uint64)
-    streams = trajectory_streams(seed, sweep_index, engine_id, range(200))
+    seed = 2**64 - 3
+    key = np.array([seed, 0], dtype=np.uint64)
+    streams = trajectory_streams(seed, engine_id, range(200))
     for i, rng in enumerate(streams):
         counter = np.array([0, engine_id, i, 0], dtype=np.uint64)
         fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
