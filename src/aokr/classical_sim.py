@@ -106,10 +106,10 @@ def sample_initial_classical(params: EnsembleParams, rng):
 def _evolve_pulse_rows(phi, rho, kf, pulse, fire, recoils):
     """Evolve rows of (phi, rho) through one resultant pulse.
 
-    Each grid step applies the exact pendulum flow with rate
-    kf * k(tau_mid).  After step max(n_steps // 2 - 1, 0) the pulse makes
-    one emission check per constituent pulse: column c of the boolean
-    fire adds column c of recoils to rho.
+    Step j applies the exact pendulum flow at kf * k_mid[j], the envelope's
+    mean over the step.  After step max(n_steps // 2 - 1, 0) the pulse
+    makes one emission check per constituent pulse: column c of the
+    boolean fire adds column c of recoils to rho.
     """
     check_step = max(pulse.n_steps // 2 - 1, 0)
     for j in range(pulse.n_steps):

@@ -11,8 +11,9 @@ the same closed form.
 
 _ellipj evaluates sn, cn, dn in numpy, so no run loads scipy.  Each row
 picks its method from its own |u|: the Maclaurin series of sn for
-|u| <= 1/16, which covers every engine step, and descending Landen
-(the arithmetic-geometric mean) beyond, with tanh and sech at m = 1.
+|u| <= 1/16 and descending Landen (the arithmetic-geometric mean)
+beyond, with tanh and sech at m = 1.  At default settings about 1 in
+10^4 engine row-steps take Landen, and 1 in 100 at psi0 = 0 (|u| < 0.1).
 Neither method depends on the other rows of the call, so a row's bits
 do not depend on which rows share it.
 """
@@ -160,8 +161,7 @@ def pendulum_step(phi, rho, k_rate, dtau):
     once u passes K, because the rounding of m moves K: against the exact
     solution at 50 digits (k = 100, starts at the bottom with |m - 1| from
     1e-13 to 1e-9) rows agree within 1.4e-13 at u = 6, 7e-11 at u = 12
-    and 2e-5 at u = 25.  The engines' grid steps keep u at a few
-    hundredths.
+    and 2e-5 at u = 25.  The engines' default steps keep |u| below 0.1.
     """
     phi, rho, k_rate, dtau = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (phi, rho, k_rate, dtau))

@@ -16,6 +16,8 @@ normalised so that the on-window area equals the kick strength kappa.
 Overlapping pulses add pointwise, so a resolved timeline can contain
 fewer, taller or longer resultant pulses than the two trains supplied;
 it holds only those pulses, each with the step grid the engines run on.
+One closed-form antiderivative of the envelope gives both k_max and each
+step's mean strength, so a pulse's steps deliver its kappa to rounding.
 """
 
 import math
@@ -234,17 +236,12 @@ def _threshold_window(shape: PulseShapeParams):
     return _rising_edge(shape), -_rising_edge(mirrored)
 
 
-def pulse_envelope(t_rel, k_max: float, shape: PulseShapeParams):
-    """Envelope height at time t_rel from the pulse centre.
-
-    The erf profile scaled to peak k_max, clamped to zero outside the
-    window where it exceeds on_threshold_fraction * k_max.  Total
-    function; accepts arrays, and a scalar t_rel gives a 0-d array.
-    """
-    on, off = _threshold_window(shape)
-    t_rel = np.asarray(t_rel, dtype=float)
-    inside = (t_rel >= on) & (t_rel <= off)
-    return np.where(inside, k_max * _raw_envelope(t_rel, shape), 0.0)
+def _envelope_antiderivative(t_rel, shape: PulseShapeParams):
+    """Antiderivative of the unclamped unit-height envelope, t_rel measured
+    from the pulse centre: the area of a pulse or a step is its difference."""
+    up = _erf_antiderivative(t_rel + 0.5 * shape.fwhm, shape.rise_time)
+    down = _erf_antiderivative(t_rel - 0.5 * shape.fwhm, shape.fall_time)
+    return 0.5 * (up - down)
 
 
 def unit_pulse_area(shape: PulseShapeParams) -> float:
@@ -252,36 +249,30 @@ def unit_pulse_area(shape: PulseShapeParams) -> float:
     of the unclamped envelope over the on window (relative error at
     machine level).  A train of strength kappa has peak kappa / area."""
     on, off = _threshold_window(shape)
-    t1 = -0.5 * shape.fwhm
-    t2 = 0.5 * shape.fwhm
-    up = _erf_antiderivative(off - t1, shape.rise_time) - _erf_antiderivative(on - t1, shape.rise_time)
-    down = _erf_antiderivative(off - t2, shape.fall_time) - _erf_antiderivative(on - t2, shape.fall_time)
-    return 0.5 * float(up - down)
+    at_on, at_off = _envelope_antiderivative(np.array([on, off]), shape)
+    return float(at_off - at_on)
 
 
 @dataclass(frozen=True)
 class ResultantPulse:
-    """One maximal on interval of the summed envelope, with its step grid.
-
-    k_mid holds the envelope at the midpoints of uniform steps over
-    [start, end], one entry per step, so n_steps is its length; area is
-    the exact envelope integral over [start, end]; constituents lists
-    (train_id, centre) for every pulse contributing to the interval.
+    """One maximal on interval [start, end] (absolute times) of the summed
+    envelope, with its grid of n_steps steps of length step.  k_mid[j] is
+    step j's mean strength: the constituents' exact integral over the
+    step, each clipped to its own on window, divided by step.  area is
+    their summed kappa, which step * k_mid.sum() equals to rounding;
+    constituents lists (train_id, centre) of every pulse in the interval.
     """
 
     start: float
     end: float
-    k_mid: np.ndarray
+    k_mid: np.ndarray  # once midpoint samples; the name stays for bench/probes.py
+    step: float
     area: float
     constituents: tuple
 
     @property
     def n_steps(self) -> int:
         return len(self.k_mid)
-
-    @property
-    def step(self) -> float:
-        return (self.end - self.start) / self.n_steps
 
     @property
     def n_constituents(self) -> int:
@@ -311,7 +302,9 @@ def resolve_timeline(
     single-pulse step, or part of one, that its constituents' centres
     spread over.  An isolated or exactly coincident pulse thus has
     min_steps_per_pulse steps, and no step exceeds the single-pulse step,
-    so overlap-lengthened pulses are sampled at least as finely.  Each
+    so overlap-lengthened pulses are sampled at least as finely.  Steps are
+    laid from the first constituent's centre, so pulses of one layout (the
+    isolated pulses of a train) share bitwise-equal k_mid and step.  Each
     train's peak height is its kappa over the one unit pulse area of the
     shape; a kappa = 0 train contributes no pulses.
     """
@@ -338,18 +331,20 @@ def resolve_timeline(
     pulses = []
     shape = spec.shape
     for start, end, members in groups:
-        length = end - start
-        spread = members[-1][1] - members[0][1]
-        n_steps = min_steps_per_pulse + math.ceil(spread / base_step)
-        tau_mid = start + (np.arange(n_steps) + 0.5) * (length / n_steps)
+        offsets = [c - members[0][1] for _, c in members]
+        n_steps = min_steps_per_pulse + math.ceil(offsets[-1] / base_step)
+        step = float(offsets[-1] + off - on) / n_steps
+        edges = on + step * np.arange(n_steps + 1)
         k_mid = np.zeros(n_steps)
-        for tr, c in members:
-            k_mid += pulse_envelope(tau_mid - c, kmax[tr], shape)
+        for (tr, _), d in zip(members, offsets):
+            steps_area = np.diff(_envelope_antiderivative(np.clip(edges - d, on, off), shape))
+            k_mid += kmax[tr] * (steps_area / step)
         pulses.append(
             ResultantPulse(
                 start=float(start),
                 end=float(end),
                 k_mid=k_mid,
+                step=step,
                 area=float(sum(kappa[tr] for tr, _ in members)),
                 constituents=tuple(members),
             )

@@ -90,8 +90,8 @@ def _free_phases(q, kbar: float, size: int, dtau: float) -> np.ndarray:
 
 
 def _pulse_rows(psi, q, kf, decay_scale, k_mid, h: float, kbar: float):
-    """Strang split steps of step h through the envelope k_mid, on every
-    row of psi in place.
+    """Strang split steps of step h, step j at the envelope's mean strength
+    k_mid[j] over it, on every row of psi in place.
 
     Per step: half free phase; multiply on the position grid by
     exp(-i k h kf cos(phi)/kbar) * exp(-k h decay_scale (1 + cos phi));

@@ -1,8 +1,9 @@
 """Oracles and one-row drivers used by the test suite.
 
 The independent oracles deliberately avoid the code paths under test:
-pulse areas come from scipy's adaptive quadrature of the envelope
-function, pulse edges from brentq on an independently written envelope,
+pulse and step areas come from scipy's adaptive quadrature of
+pulse_envelope, an envelope written on scipy's erf and clamped to the
+on window, pulse edges from brentq on that envelope unclamped,
 the pendulum step from DOP853 on its equations of motion, the quantum
 step from dense matrix exponentiation in the ladder basis, and the
 quantum histogram from per_row_fold, which bins one row at a time.
@@ -26,17 +27,37 @@ from scipy.special import erf
 from aokr.analysis import MomentumDistribution
 from aokr.classical_sim import _evolve_pulse_rows
 from aokr.elliptic import _wrap_angle
-from aokr.pulse_train import TwoFreqTrainSpec
+from aokr.pulse_train import TwoFreqTrainSpec, _threshold_window
 from aokr.quantum_sim import _energies, _free_phases, _jump, _norms_sq, _pulse_rows
 from aokr.streams import draw_emission_pairs
 
 
-def envelope_area_quadrature(envelope, lo: float, hi: float) -> float:
-    """Adaptive quadrature of a pulse envelope over [lo, hi]."""
-    mid = 0.5 * (lo + hi)
-    a1, _ = quad(lambda t: float(envelope(t)), lo, mid, epsabs=1e-12, epsrel=1e-12, limit=400)
-    a2, _ = quad(lambda t: float(envelope(t)), mid, hi, epsabs=1e-12, epsrel=1e-12, limit=400)
-    return a1 + a2
+def _unit_envelope(t, rise: float, fall: float, fwhm: float):
+    """Unclamped unit-height erf envelope at t from the pulse centre."""
+    up = erf((t + 0.5 * fwhm) * math.sqrt(math.pi) / rise) if rise > 0 else np.sign(t + 0.5 * fwhm)
+    down = erf((t - 0.5 * fwhm) * math.sqrt(math.pi) / fall) if fall > 0 else np.sign(t - 0.5 * fwhm)
+    return 0.5 * (up - down)
+
+
+def pulse_envelope(t_rel, k_max: float, shape):
+    """Envelope height at t_rel from the pulse centre: the erf profile
+    scaled to peak k_max, zero outside the on window [on, off] of
+    _threshold_window (whose edges test against brentq_threshold_window).
+    Accepts arrays; a scalar t_rel gives a 0-d array."""
+    on, off = _threshold_window(shape)
+    t_rel = np.asarray(t_rel, dtype=float)
+    height = k_max * _unit_envelope(t_rel, shape.rise_time, shape.fall_time, shape.fwhm)
+    return np.where((t_rel >= on) & (t_rel <= off), height, 0.0)
+
+
+def envelope_area_quadrature(envelope, lo: float, hi: float, breaks=()) -> float:
+    """Adaptive quadrature of a pulse envelope over [lo, hi], split at the
+    midpoint and at every break inside (where a clamped envelope jumps)."""
+    cuts = sorted({lo, 0.5 * (lo + hi), hi, *(b for b in breaks if lo < b < hi)})
+    return sum(
+        quad(lambda t: float(envelope(t)), a, b, epsabs=1e-12, epsrel=1e-12, limit=400)[0]
+        for a, b in zip(cuts, cuts[1:])
+    )
 
 
 def brentq_threshold_window(rise: float, fall: float, fwhm: float, thr: float):
@@ -45,9 +66,7 @@ def brentq_threshold_window(rise: float, fall: float, fwhm: float, thr: float):
     point in steps of the edge's width, then brentq finds the crossing."""
 
     def above(t):
-        up = erf((t + 0.5 * fwhm) * math.sqrt(math.pi) / rise) if rise > 0 else np.sign(t + 0.5 * fwhm)
-        down = erf((t - 0.5 * fwhm) * math.sqrt(math.pi) / fall) if fall > 0 else np.sign(t - 0.5 * fwhm)
-        return 0.5 * (up - down) - thr
+        return _unit_envelope(t, rise, fall, fwhm) - thr
 
     def edge(half, width):
         if width == 0:

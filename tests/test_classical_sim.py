@@ -92,6 +92,7 @@ def zero_height_pulse(n_steps=16, n_constituents=1):
         start=0.0,
         end=0.016,
         k_mid=np.zeros(n_steps),
+        step=0.016 / n_steps,
         area=0.0,
         constituents=tuple((train, 0.008) for train in range(1, n_constituents + 1)),
     )

@@ -12,7 +12,6 @@ from aokr.pulse_train import (
     PulseShapeParams,
     TwoFreqTrainSpec,
     build_train_spec,
-    pulse_envelope,
     resolve_timeline,
     unit_pulse_area,
 )
@@ -21,6 +20,7 @@ from oracles import (
     brentq_threshold_window,
     brute_force_split,
     envelope_area_quadrature,
+    pulse_envelope,
     single_train_spec,
 )
 
@@ -47,6 +47,8 @@ class TestShapeParams:
 
 
 class TestEnvelope:
+    """The quadrature oracle's envelope, which the step-area tests integrate."""
+
     def test_zero_far_before(self):
         shape = measured_shape()
         assert pulse_envelope(-1.0, 5.0, shape) == 0.0
@@ -135,8 +137,11 @@ class TestEdges:
             for edge in (1e-300, 1e-310):
                 shape = PulseShapeParams(edge, edge, 0.01)
                 assert unit_pulse_area(shape) == unit_pulse_area(square)
-                t = np.array([-0.004, 0.0, 0.004, 0.006])
-                assert pulse_envelope(t, 2.0, shape).tolist() == [2.0, 2.0, 2.0, 0.0]
+                ours, ref = (
+                    resolve_timeline(single_train_spec(1, 0.02, s, KBAR)).pulses[0]
+                    for s in (shape, square)
+                )
+                assert ours.k_mid.tolist() == ref.k_mid.tolist() and ours.step == ref.step
 
 
 class TestMathErf:
@@ -321,6 +326,25 @@ class TestResolveTimeline:
         )
         assert area == pytest.approx(pulse.area, rel=1e-9)
 
+    # isolated pulses at 180 degrees, full overlap at 0 and partial overlap at 1
+    @pytest.mark.parametrize("psi0_deg", [180.0, 0.0, 1.0])
+    def test_step_areas_against_quadrature(self, psi0_deg):
+        spec = build_train_spec(1.0, psi0_deg / 360.0, 4, 10.1, 10.1, measured_shape(), KBAR)
+        shape = spec.shape
+        k_max = 10.1 / unit_pulse_area(shape)
+        on, off = _threshold_window(shape)
+        for pulse in resolve_timeline(spec).pulses:
+            centres = [c for _, c in pulse.constituents]
+            breaks = [c + edge for c in centres for edge in (on, off)]
+            for j, k_j in enumerate(pulse.k_mid):
+                ref = envelope_area_quadrature(
+                    lambda t: sum(pulse_envelope(t - c, k_max, shape) for c in centres),
+                    pulse.start + j * pulse.step,
+                    pulse.start + (j + 1) * pulse.step,
+                    breaks,
+                )
+                assert pulse.step * k_j == pytest.approx(ref, rel=1e-10), (pulse.start, j)
+
     def test_overlap_lengthened_pulse_keeps_step_size(self):
         # alpha0 small enough that windows overlap partially
         shape = measured_shape()
@@ -379,6 +403,9 @@ shapes = st.one_of(
 # near-coincident pairs: centres 24 and 24 + 4e-15, and 0 and 2.8e-11
 @example(1.3, 216.0, 100, 1.0, 1.0, PulseShapeParams.square(0.0016), 8)
 @example(1.0, 1e-8, 2, 1.0, 1.0, PulseShapeParams.square(0.5), 1)
+# square windows as wide as train 2's period: the two resultant pulses lie one
+# ulp apart, so an end derived as start + n_steps * step can round onto the next start
+@example(0.30177486690346206, 0.0, 7, 0.0, 1.0, PulseShapeParams.square(0.30177486690346206), 1)
 def test_resolved_timeline_properties(r, psi0_deg, n_tot, kappa1, kappa2, shape, min_steps):
     spec = build_train_spec(r, psi0_deg / 360.0, n_tot, kappa1, kappa2, shape, KBAR)
     tl = resolve_timeline(spec, min_steps)
@@ -391,10 +418,13 @@ def test_resolved_timeline_properties(r, psi0_deg, n_tot, kappa1, kappa2, shape,
         assert pulse.n_steps >= min_steps
         if pulse.n_constituents == 1:
             assert pulse.n_steps == min_steps
-        # start and end are absolute times, so their difference carries the
-        # rounding of the larger one: allow one float spacing of it per step.
-        slack = np.spacing(max(abs(pulse.start), abs(pulse.end))) / pulse.n_steps
-        assert pulse.step <= (off - on) / min_steps * (1 + 1e-12) + slack
+        assert pulse.step <= (off - on) / min_steps * (1 + 1e-12)
+        # a subnormal kappa such as 5e-324 underflows to an all-zero table
+        if pulse.area > 1e-300:
+            assert pulse.step * pulse.k_mid.sum() == pytest.approx(pulse.area, rel=1e-12)
+    for train in (1, 2):
+        isolated = [p for p in tl.pulses if p.n_constituents == 1 and p.constituents[0][0] == train]
+        assert len({(p.k_mid.tobytes(), p.step) for p in isolated}) <= 1
 
 
 class TestSpecValidation:
