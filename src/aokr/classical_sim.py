@@ -14,6 +14,7 @@ it on every row of a chunk.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .constants import thermal_sigma_recoils
 from .elliptic import _pendulum_step_arrays, _wrap_angle
 from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
-from .streams import ENGINE_CLASSICAL, draw_emission_pairs, trajectory_streams
+from .streams import ENGINE_CLASSICAL, split_emission_pairs, trajectory_streams
 
 DEFAULT_CHUNK_SIZE = 1024
 
@@ -68,7 +69,7 @@ class EnsembleParams:
             if weight <= 0:
                 raise ValueError(f"sublevel_weights: must be positive, got {weight}")
 
-    @property
+    @cached_property
     def sigma_n(self) -> float:
         """Thermal momentum spread in two-photon-recoil units."""
         return thermal_sigma_recoils(self.temperature_uk)
@@ -126,11 +127,12 @@ def _classical_chunk(job):
     n = hi - lo
     n_checks = sum(p.n_constituents for p in timeline.pulses)
     phi, rho, kf = np.empty((3, n))
-    triggers, recoils = np.empty((2, n, n_checks))
+    pairs = np.empty((n, 2 * n_checks))
     streams = trajectory_streams(params.rng_seed, ENGINE_CLASSICAL, range(lo, hi))
     for i, s in enumerate(streams):
         phi[i], rho[i], kf[i] = sample_initial_classical(params, s)
-        triggers[i], recoils[i] = draw_emission_pairs(s, n_checks, params.kbar)
+        s.random(out=pairs[i])
+    triggers, recoils = split_emission_pairs(pairs, params.kbar)
 
     fire = triggers < params.eta_per_pulse
     cursor = 0

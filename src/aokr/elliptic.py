@@ -108,12 +108,14 @@ def _ellipj(u, m):
 
 def _pendulum_step_arrays(phi, rho, k, dtau):
     """Exact pendulum flow on 1-d float arrays of one length (dtau may be a
-    scalar); see pendulum_step for the contract."""
+    scalar); see pendulum_step for the contract.  phi must lie in
+    (-2 pi, 2 pi], as every engine row does ([-pi, pi])."""
     # free rows (k = 0) run through the closed form as inf/nan and are
     # replaced by free streaming at the end
     with np.errstate(divide="ignore", invalid="ignore"):
-        # theta/2 in [-pi/2, pi/2), theta = phi - pi wrapped: the angle from the stable minimum
-        half = 0.5 * (np.mod(phi, 2.0 * np.pi) - np.pi)
+        # theta/2 in [-pi/2, pi/2], theta = phi - pi wrapped: the angle from
+        # the stable minimum; the same bits as np.mod(phi, 2 pi) on (-2 pi, 2 pi)
+        half = 0.5 * (np.where(phi < 0.0, phi + 2.0 * np.pi, phi) - np.pi)
         a = np.sin(half)
         cos_h = np.cos(half)
         # m_lib = sin^2(theta/2) + rho^2/(4k) = (E + k)/(2k), cancellation-free
@@ -170,5 +172,9 @@ def pendulum_step(phi, rho, k_rate, dtau):
         raise ValueError("dtau must be >= 0")
     if np.any(k_rate < 0):
         raise ValueError("k_rate must be >= 0")
+    # the kernel reads phi in (-2 pi, 2 pi]: wrap the rows outside it
+    outside = np.abs(phi) >= 2.0 * np.pi
+    if outside.any():
+        phi = np.where(outside, np.mod(phi, 2.0 * np.pi), phi)
     out_phi, out_rho = _pendulum_step_arrays(*(x.ravel() for x in (phi, rho, k_rate, dtau)))
     return out_phi.reshape(phi.shape), out_rho.reshape(phi.shape)

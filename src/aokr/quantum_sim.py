@@ -31,7 +31,11 @@ GridOverflowError.
 
 The split step (_pulse_rows), the free phases (_free_phases) and the
 jump (_jump) each have one implementation, which the chunked ensemble
-applies to every row of a chunk.
+applies to every row of a chunk.  The split step's position-space
+multiplier takes its transcendentals from a quarter of the grid: cos phi
+is even and odd about phi = pi/2 (_grids makes both exact), so each row's
+kick phase is fixed by phi in [0, pi/2], and the emission decay is the
+same for every row.
 """
 
 from dataclasses import dataclass
@@ -42,7 +46,7 @@ import numpy as np
 from .classical_sim import EnsembleParams, draw_momentum_and_kick_factor
 from .parallel import chunk_bounds, chunked_map
 from .pulse_train import ResolvedTimeline
-from .streams import ENGINE_QUANTUM, draw_emission_pairs, trajectory_streams
+from .streams import ENGINE_QUANTUM, split_emission_pairs, trajectory_streams
 
 DEFAULT_N_MAX = 0  # 0 = choose the smallest grid that holds the ensemble
 DEFAULT_CHUNK_SIZE = 128
@@ -63,10 +67,22 @@ class GridOverflowError(ValueError):
 @lru_cache(maxsize=8)
 def _grids(size: int):
     """Ladder numbers in FFT order (0..n_max-1, -n_max..-1) and cos(phi)
-    on the position grid."""
+    on the position grid phi_g = 2 pi g / size.
+
+    cos(phi) is computed on the quarter g in [0, size/4] only and laid out
+    so that its symmetries hold exactly: cos phi_(size-g) = cos phi_g,
+    cos phi_(size/2-g) = -cos phi_g and cos phi_(size/4) = 0.  The split
+    step relies on them to build its multiplier from the quarter.
+    """
     n = np.arange(size)
     n[n >= size // 2] -= size
-    cos_phi = np.cos(2.0 * np.pi * np.arange(size) / size)
+    quarter = size // 4
+    cos_q = np.cos(2.0 * np.pi * np.arange(quarter + 1) / size)
+    cos_q[quarter] = 0.0
+    cos_phi = np.empty(size)
+    cos_phi[quarter : size // 2 + 1] = -cos_q[::-1]
+    cos_phi[: quarter + 1] = cos_q  # after the line above: +0.0 at size/4
+    cos_phi[size // 2 + 1 :] = cos_phi[size // 2 - 1 : 0 : -1]
     return n, cos_phi
 
 
@@ -98,16 +114,33 @@ def _pulse_rows(psi, q, kf, decay_scale, k_mid, h: float, kbar: float):
     transform back; half free phase.  The half phases of adjacent steps
     are fused.  decay_scale is one float for every row.  Norms are
     non-increasing and conserved to rounding where decay_scale = 0.
+
+    The multiplier is built on phi in [0, pi] only, as column g serves
+    column size - g too (cos phi is even).  Its phase is computed on the
+    quarter phi in [0, pi/2], as cos and sin written into the real and
+    imaginary parts of one buffer, and mirrored as its conjugate onto
+    (pi/2, pi], where cos phi_(size/2-g) = -cos phi_g.  The decay factor
+    does not depend on the row: one table per call holds it, a row per step.
     """
-    _, cos_phi = _grids(psi.shape[1])
-    half = _free_phases(q, kbar, psi.shape[1], 0.5 * h)
+    size = psi.shape[1]
+    half_size, quarter = size // 2, size // 4
+    cos_phi = _grids(size)[1][: half_size + 1]
+    decay = np.exp(np.multiply.outer(-h * decay_scale * np.asarray(k_mid), 1.0 + cos_phi))
+    phase = np.empty((psi.shape[0], quarter + 1))
+    mult = np.empty((psi.shape[0], half_size + 1), dtype=np.complex128)
+    x = np.empty_like(psi)
+    half = _free_phases(q, kbar, size, 0.5 * h)
     full = half * half
     psi *= half
     for j, k_j in enumerate(k_mid):
-        w = (-1j * h * k_j / kbar) * kf - h * k_j * decay_scale
-        mult = np.exp(np.outer(w, cos_phi) - h * k_j * decay_scale)
-        x = np.fft.ifft(psi, axis=1)
-        x *= mult
+        np.multiply.outer((-h * k_j / kbar) * kf, cos_phi[: quarter + 1], out=phase)
+        np.cos(phase, out=mult.real[:, : quarter + 1])
+        np.sin(phase, out=mult.imag[:, : quarter + 1])
+        np.conjugate(mult[:, quarter - 1 :: -1], out=mult[:, quarter + 1 :])
+        mult *= decay[j]
+        np.fft.ifft(psi, axis=1, out=x)
+        x[:, : half_size + 1] *= mult
+        x[:, half_size + 1 :] *= mult[:, half_size - 1 : 0 : -1]
         np.fft.fft(x, axis=1, out=psi)
         psi *= full if j < len(k_mid) - 1 else half
 
@@ -160,13 +193,14 @@ def _quantum_chunk(job):
     kbar = params.kbar
     n_pairs = timeline.n_res + 1  # at most one jump per resultant pulse
     q, kf = np.empty((2, n_rows))
-    thresholds, recoils = np.empty((2, n_rows, n_pairs))
+    pairs = np.empty((n_rows, 2 * n_pairs))
     psi = np.zeros((n_rows, 2 * n_max), dtype=np.complex128)
     psi[:, 0] = 1.0
     streams = trajectory_streams(params.rng_seed, ENGINE_QUANTUM, range(lo, hi))
     for i, s in enumerate(streams):
         q[i], kf[i] = draw_momentum_and_kick_factor(params, s)
-        thresholds[i], recoils[i] = draw_emission_pairs(s, n_pairs, kbar)
+        s.random(out=pairs[i])
+    thresholds, recoils = split_emission_pairs(pairs, kbar)
 
     rows = np.arange(n_rows)
     jump_counts = np.zeros(n_rows, dtype=int)

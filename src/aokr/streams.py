@@ -44,5 +44,11 @@ def draw_emission_pairs(rng, n_pairs: int, kbar: float):
     the quantum engine as a norm threshold.  Drawn up front, so a stream's
     position does not depend on whether it emits.  Returns (uniforms, recoils).
     """
-    u = rng.random(2 * n_pairs)
-    return u[0::2], -0.5 * kbar + kbar * u[1::2]
+    return split_emission_pairs(rng.random(2 * n_pairs), kbar)
+
+
+def split_emission_pairs(u, kbar: float):
+    """(uniforms, recoils) of draw_emission_pairs from its 2 n_pairs raw
+    uniforms u, one row of draws per row of u (last axis): an engine fills
+    a block row by row with rng.random(out=row) and splits it once."""
+    return u[..., 0::2], -0.5 * kbar + kbar * u[..., 1::2]

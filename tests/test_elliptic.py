@@ -17,6 +17,22 @@ class TestPendulumStep:
         phi, rho = pendulum_step(3.0, 1.0, 0.0, 1.0)
         assert phi == pytest.approx(4.0 - 2 * np.pi, abs=1e-14)
 
+    def test_any_phi_is_wrapped_first(self):
+        # the kernel reads phi in (-2 pi, 2 pi]; the public step takes any
+        # phi, free rows (k = 0) too.  Engine-sized steps (k h <= 1.4):
+        # phi + 100 pi is itself rounded by up to 2.8e-14, which a step
+        # scales by about 1 + k h
+        rng = np.random.default_rng(24)
+        phi = rng.uniform(-np.pi, np.pi, 64)
+        rho = rng.uniform(-30, 30, 64)
+        k = np.where(np.arange(64) < 8, 0.0, rng.uniform(0.1, 700, 64))
+        dt = rng.uniform(1e-4, 2e-3, 64)
+        p0, r0 = pendulum_step(phi, rho, k, dt)
+        for shift in (4 * np.pi, -4 * np.pi, 100 * np.pi):
+            p1, r1 = pendulum_step(phi + shift, rho, k, dt)
+            assert np.max(np.abs(np.angle(np.exp(1j * (p1 - p0))))) < 1e-12, shift
+            assert np.max(np.abs(r1 - r0)) < 1e-12, shift
+
     def test_stable_fixed_point(self):
         for k in [0.5, 100.0, 631.0]:
             phi, rho = pendulum_step(-np.pi, 0.0, k, 0.37)

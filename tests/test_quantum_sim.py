@@ -12,6 +12,7 @@ from aokr.quantum_sim import (
     GridOverflowError,
     _grids,
     _jump,
+    _pulse_rows,
     _quantum_chunk,
     run_mcwf_trajectories,
 )
@@ -138,6 +139,41 @@ class TestKickStep:
             now = psi.norm_sq()
             assert now <= last + 1e-14
             last = now
+
+
+class TestQuarterGridMultiplier:
+    @pytest.mark.parametrize("size", [128 << i for i in range(8)])
+    def test_cos_grid_symmetries_are_exact(self, size):
+        cos_phi = _grids(size)[1]
+        g = np.arange(size)
+        assert np.array_equal(cos_phi[(size - g) % size], cos_phi)
+        assert np.array_equal(cos_phi[(size // 2 - g) % size], -cos_phi)
+        assert cos_phi[size // 4] == 0.0
+        assert np.max(np.abs(cos_phi - np.cos(2.0 * np.pi * g / size))) <= 1e-15
+
+    def test_steps_match_the_full_grid_multiplier(self):
+        # distinct kick factors and decay > 0, against the multiplier
+        # written out on the full np.cos grid, steps applied one by one
+        rng = np.random.default_rng(24)
+        rows, size, h, decay_scale = 8, 256, 0.002, 0.05
+        k_mid = np.array([900.0, 2500.0, 1700.0])
+        psi = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))[:, None]
+        q = rng.uniform(-KBAR / 2, KBAR / 2, rows)
+        kf = rng.uniform(0.3, 1.0, rows)
+        cos_phi = np.cos(2.0 * np.pi * np.arange(size) / size)
+        n = np.fft.fftfreq(size, 1.0 / size)
+        half = np.exp(-0.5j * (n * KBAR + q[:, None]) ** 2 * (0.5 * h) / KBAR)
+        ref = psi.copy()
+        for k in k_mid:
+            mult = np.exp(
+                -1j * h * k * kf[:, None] * cos_phi / KBAR - h * k * decay_scale * (1.0 + cos_phi)
+            )
+            ref = np.fft.fft(np.fft.ifft(ref * half, axis=1) * mult, axis=1) * half
+        out = psi.copy()
+        _pulse_rows(out, q, kf, decay_scale, k_mid, h, KBAR)
+        assert np.max(np.abs(out - ref)) < 1e-13
+        assert np.all(np.sum(np.abs(out) ** 2, axis=1) < 0.9)  # the decay acted
 
 
 class TestJump:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from aokr.streams import ENGINE_CLASSICAL, ENGINE_QUANTUM, trajectory_stream, trajectory_streams
+from aokr.streams import (
+    ENGINE_CLASSICAL,
+    ENGINE_QUANTUM,
+    draw_emission_pairs,
+    split_emission_pairs,
+    trajectory_stream,
+    trajectory_streams,
+)
 
 
 def draw_mix(rng, i):
@@ -35,3 +42,18 @@ def test_trajectory_stream_is_independent():
     b.random(5)
     again = trajectory_stream(3, 1, ENGINE_QUANTUM, 0).random(6)
     assert np.array_equal(np.concatenate([first, a.random(3)]), again)
+
+
+def test_block_of_pairs_splits_as_each_row_draws_them():
+    # the engines fill one row per stream and split the block once
+    kbar, rows, n_pairs = 3.12, 5, 7
+    block = np.empty((rows, 2 * n_pairs))
+    for i, rng in enumerate(trajectory_streams(9, ENGINE_QUANTUM, range(rows))):
+        rng.random(out=block[i])
+    uniforms, recoils = split_emission_pairs(block, kbar)
+    for i, rng in enumerate(trajectory_streams(9, ENGINE_QUANTUM, range(rows))):
+        u, r = draw_emission_pairs(rng, n_pairs, kbar)
+        assert np.array_equal(uniforms[i], u) and np.array_equal(recoils[i], r)
+    for i, rng in enumerate(trajectory_streams(9, ENGINE_QUANTUM, range(rows))):
+        lazy = [(rng.random(), rng.uniform(-kbar / 2, kbar / 2)) for _ in range(n_pairs)]
+        assert lazy == list(zip(uniforms[i], recoils[i]))
