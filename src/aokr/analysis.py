@@ -1,10 +1,11 @@
 """Observables: energies, zero-velocity fractions, lineshape classes, spectra.
 
 Momentum is everywhere in two-photon-recoil units (rho / kbar); energy is
-<n^2>/2 in those units.  One binning routine,
-MomentumDistribution.from_samples, builds every momentum histogram: the
-classical engine's samples and the quantum engine's ladders weighted by
-their populations alike.  This module imports no engine.
+<n^2>/2 in those units.  Both engines hand over per-trajectory momenta: a
+sample per classical trajectory, a ladder weighted by its normalised
+populations per quantum one.  trajectory_energies reduces them to
+energies and MomentumDistribution.from_samples bins them, alike for
+both.  This module imports no engine.
 """
 
 import math
@@ -95,21 +96,27 @@ class MomentumDistribution:
                 fh.write(f"{c:.17g},{m / w:.17g}\n")
 
 
-def energy(dist_or_samples) -> float:
-    """Mean kinetic energy <n^2>/2 of a distribution or of raw samples."""
-    if isinstance(dist_or_samples, MomentumDistribution):
-        return float(np.sum(dist_or_samples.masses * dist_or_samples.bin_centers**2) / 2.0)
-    values = np.asarray(dist_or_samples, dtype=float)
-    if values.size == 0:
+def trajectory_energies(momenta, weights=None) -> np.ndarray:
+    """Each trajectory's <n^2>/2: a classical sample's n^2/2, or a quantum
+    row's mean over its ladder weighted by its normalised populations."""
+    e = np.square(np.asarray(momenta, dtype=float))
+    if weights is None:
+        return 0.5 * e
+    e *= weights
+    return 0.5 * e.sum(axis=1)
+
+
+def energy(momenta, weights=None) -> float:
+    """Mean kinetic energy <n^2>/2 over the trajectories."""
+    e = trajectory_energies(momenta, weights)
+    if e.size == 0:
         raise ValueError("energy of an empty sample set is undefined")
-    return float(np.mean(values**2) / 2.0)
+    return float(np.mean(e))
 
 
-def energy_stderr(samples) -> float:
-    """Standard error of the mean energy over trajectories with final
-    momenta samples: the mean_stderr of the contributions n_i^2/2."""
-    values = np.asarray(samples, dtype=float)
-    return mean_stderr(values**2 / 2.0)
+def energy_stderr(momenta, weights=None) -> float:
+    """Standard error of energy(momenta, weights)."""
+    return mean_stderr(trajectory_energies(momenta, weights))
 
 
 def mean_stderr(per_trajectory_values) -> float:

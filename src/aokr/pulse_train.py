@@ -60,11 +60,6 @@ class PulseShapeParams:
             )
 
     @classmethod
-    def square(cls, width: float, on_threshold_fraction: float = DEFAULT_ON_THRESHOLD):
-        """Ideal square pulse of the given scaled width."""
-        return cls(0.0, 0.0, width, on_threshold_fraction)
-
-    @classmethod
     def from_physical_ns(
         cls,
         rise_ns: float,

@@ -9,7 +9,7 @@ position grid and couples n only to n +- 1, and spontaneous emission
 enters as the non-Hermitian decay exp(-k dtau (eta_rate/2)(1 + cos phi))
 that shrinks the norm.  As in the classical engine, a trajectory draws
 everything up front: its start momentum, then (norm threshold, recoil)
-pairs (streams.draw_emission_pairs); pair k holds the threshold in force
+pairs (streams.split_emission_pairs); pair k holds the threshold in force
 after k jumps and the recoil of jump k + 1.  Norms are checked at the
 end of each resultant pulse; below the threshold the trajectory jumps:
 the recoil, uniform in [-kbar/2, kbar/2), is added to q and the state is
@@ -17,8 +17,8 @@ renormalised.  The decay emits with probability about eta per
 constituent pulse whatever the kick strengths, as the classical engine's
 one check per constituent pulse does.  An ensemble returns each row's
 ladder momenta n + q/kbar and normalised populations; the analysis layer
-bins them, as it bins the classical engine's samples, into an
-equal-weight average over trajectories.
+reduces them to energies and bins them, as it does the classical
+engine's samples, into equal-weight averages over trajectories.
 
 The ladder size is the ensemble's to choose: with n_max = 0 (the
 default) it starts on n_max = 64 and, while some row's population at the
@@ -152,12 +152,9 @@ def _norms_sq(psi) -> np.ndarray:
     )
 
 
-def _energies(psi, q, kbar: float):
-    """Per-row <(n + q/kbar)^2>/2 in recoil units, with the normalised
-    populations and the momenta (in recoils) it averages over."""
-    weights = np.abs(psi) ** 2 / _norms_sq(psi)[:, None]
-    momenta = _grids(psi.shape[1])[0] + q[:, None] / kbar
-    return 0.5 * np.sum(weights * momenta**2, axis=1), weights, momenta
+def _populations(psi):
+    """Each row's normalised populations |c_n|^2 / ||c||^2."""
+    return np.abs(psi) ** 2 / _norms_sq(psi)[:, None]
 
 
 def _jump(c, q, u):
@@ -169,13 +166,13 @@ def _jump(c, q, u):
 
 @dataclass(frozen=True)
 class QuantumEnsembleResult:
-    """Per-trajectory ladders, populations and diagnostics.  The ensemble's
-    momentum distribution is MomentumDistribution.from_samples(momenta,
+    """Per-trajectory ladders, populations and diagnostics.  The analysis
+    layer reduces them: the ensemble's energy is energy(momenta, weights)
+    and its momentum distribution MomentumDistribution.from_samples(momenta,
     bin_width, weights)."""
 
     momenta: np.ndarray  # (n_traj, 2 n_max): row i is n + q_i/kbar in recoils, FFT order
     weights: np.ndarray  # (n_traj, 2 n_max): each row's normalised populations
-    energies: np.ndarray  # per-trajectory <(rho+q)^2>/2 in recoil units
     jump_counts: np.ndarray
     n_max: int  # the ladder half size the ensemble ran on
 
@@ -184,9 +181,8 @@ def _quantum_chunk(job):
     """Evolve quantum trajectories lo..hi-1 on a ladder of half size n_max.
 
     Raises GridOverflowError at the first pulse where a row's population
-    at the window edge reaches the limit.  Returns their energies,
-    normalised populations (rows in FFT order), momentum offsets q and
-    jump counts.
+    at the window edge reaches the limit.  Returns their normalised
+    populations (rows in FFT order), momentum offsets q and jump counts.
     """
     timeline, params, lo, hi, n_max, limit = job
     n_rows = hi - lo
@@ -226,8 +222,7 @@ def _quantum_chunk(job):
             )
         prev_end = pulse.end
 
-    energies, weights, _ = _energies(psi, q, kbar)
-    return energies, weights, q, jump_counts
+    return _populations(psi), q, jump_counts
 
 
 def run_mcwf_trajectories(
@@ -240,7 +235,7 @@ def run_mcwf_trajectories(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> QuantumEnsembleResult:
     """Run a quantum trajectory ensemble; return each row's final ladder
-    momenta (n + q_i/kbar, in recoils), populations, energy and jump count.
+    momenta (n + q_i/kbar, in recoils), populations and jump count.
 
     n_max = 0 chooses the grid (see the module docstring); the result
     records the one used.  Bit-identical for a fixed rng_seed regardless
@@ -268,11 +263,10 @@ def run_mcwf_trajectories(
             raise GridOverflowError(
                 f"{exc} beyond the chosen grids' ceiling {size} with an explicit --n-max"
             ) from None
-    energies, weights, q, jump_counts = (np.concatenate(x) for x in zip(*chunks))
+    weights, q, jump_counts = (np.concatenate(x) for x in zip(*chunks))
     return QuantumEnsembleResult(
         momenta=_grids(2 * size)[0] + q[:, None] / params.kbar,
         weights=weights,
-        energies=energies,
         jump_counts=jump_counts,
         n_max=size,
     )

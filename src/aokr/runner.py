@@ -19,8 +19,6 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import analysis
 from .classical_sim import EnsembleParams, run_classical_ensemble
 from .constants import kbar_for_period
@@ -259,9 +257,10 @@ def _run_point(config: RunConfig, params: EnsembleParams, timeline, sweep_value:
     """Run the selected engines on one resolved timeline with the run's
     ensemble parameters.
 
-    Each engine yields per-trajectory momenta (one sample per classical
-    trajectory, a weighted ladder per quantum one) and energies; every row
-    is reduced from those the same way.
+    Each engine yields per-trajectory momenta: one sample per classical
+    trajectory, a ladder weighted by its populations per quantum one.
+    Every row is reduced from those the same way, its energy and standard
+    error by analysis.energy and analysis.energy_stderr.
     """
     rows = []
     for engine in config.engines():
@@ -269,7 +268,7 @@ def _run_point(config: RunConfig, params: EnsembleParams, timeline, sweep_value:
             momenta = run_classical_ensemble(
                 timeline, params, config.n_traj_classical, n_workers=config.n_workers
             )
-            weights, energies, n_max = None, momenta**2 / 2.0, 0
+            weights, n_max = None, 0
         else:
             r = run_mcwf_trajectories(
                 timeline,
@@ -278,14 +277,14 @@ def _run_point(config: RunConfig, params: EnsembleParams, timeline, sweep_value:
                 n_max=config.n_max,
                 n_workers=config.n_workers,
             )
-            momenta, weights, energies, n_max = r.momenta, r.weights, r.energies, r.n_max
+            momenta, weights, n_max = r.momenta, r.weights, r.n_max
         dist = analysis.MomentumDistribution.from_samples(momenta, config.bin_width, weights)
         rows.append(
             SweepRow(
                 sweep_value=sweep_value,
                 engine=engine,
-                energy=float(np.mean(energies)),
-                energy_stderr=analysis.mean_stderr(energies),
+                energy=analysis.energy(momenta, weights),
+                energy_stderr=analysis.energy_stderr(momenta, weights),
                 zero_velocity_fraction=analysis.zero_velocity_fraction(
                     dist, config.epsilon_zero_velocity
                 ),

@@ -36,19 +36,14 @@ def trajectory_streams(seed: int, engine_id: int, traj_indices):
         yield rng
 
 
-def draw_emission_pairs(rng, n_pairs: int, kbar: float):
-    """n_pairs (uniform in [0, 1), recoil uniform in [-kbar/2, kbar/2)) pairs,
-    each drawn in turn as rng.random() then rng.uniform(-kbar/2, kbar/2).
+def split_emission_pairs(u, kbar: float):
+    """(uniforms, recoils) pairs from 2 n_pairs raw uniforms u, one row of
+    draws per row of u (last axis): pair k is what rng.random() and then
+    rng.uniform(-kbar/2, kbar/2) would draw, so an engine fills a block row
+    by row with rng.random(out=row) and splits it once.
 
     The classical engine reads a pair's uniform as an emission trigger,
     the quantum engine as a norm threshold.  Drawn up front, so a stream's
-    position does not depend on whether it emits.  Returns (uniforms, recoils).
+    position does not depend on whether it emits.
     """
-    return split_emission_pairs(rng.random(2 * n_pairs), kbar)
-
-
-def split_emission_pairs(u, kbar: float):
-    """(uniforms, recoils) of draw_emission_pairs from its 2 n_pairs raw
-    uniforms u, one row of draws per row of u (last axis): an engine fills
-    a block row by row with rng.random(out=row) and splits it once."""
     return u[..., 0::2], -0.5 * kbar + kbar * u[..., 1::2]

@@ -6,7 +6,9 @@ pulse_envelope, an envelope written on scipy's erf and clamped to the
 on window, pulse edges from brentq on that envelope unclamped,
 the pendulum step from DOP853 on its equations of motion, the quantum
 step from dense matrix exponentiation in the ladder basis, and the
-quantum histogram from per_row_fold, which bins one row at a time.
+quantum histogram from per_row_fold, which bins one row at a time, and
+a histogram's energy from dist_energy, which puts each bin's mass at its
+centre.
 
 The one-row drivers (Wavefunction and its steps, evolve_pulse) do the
 opposite on purpose: they take one trajectory through the production
@@ -24,12 +26,12 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from aokr.analysis import MomentumDistribution
+from aokr.analysis import MomentumDistribution, trajectory_energies
 from aokr.classical_sim import _evolve_pulse_rows
 from aokr.elliptic import _wrap_angle
 from aokr.pulse_train import TwoFreqTrainSpec, _threshold_window
-from aokr.quantum_sim import _energies, _free_phases, _jump, _norms_sq, _pulse_rows
-from aokr.streams import draw_emission_pairs
+from aokr.quantum_sim import _free_phases, _grids, _jump, _norms_sq, _populations, _pulse_rows
+from aokr.streams import split_emission_pairs
 
 
 def _unit_envelope(t, rise: float, fall: float, fwhm: float):
@@ -183,6 +185,11 @@ def per_row_fold(momenta, weights, bin_width: float):
     return centers, masses / n_rows
 
 
+def dist_energy(dist: MomentumDistribution) -> float:
+    """<n^2>/2 of a histogram, with each bin's mass at its centre."""
+    return float(np.sum(dist.masses * dist.bin_centers**2) / 2.0)
+
+
 def single_train_spec(n_pulses: int, kappa: float, shape, kbar: float) -> TwoFreqTrainSpec:
     """A single periodic train (M = 0)."""
     return TwoFreqTrainSpec(1.0, 0.0, n_pulses, 0, kappa, 0.0, shape, kbar)
@@ -191,7 +198,7 @@ def single_train_spec(n_pulses: int, kappa: float, shape, kbar: float) -> TwoFre
 def evolve_pulse(phi, rho, kick_factor, pulse, rng, params):
     """(phi, rho) of one trajectory after one resultant pulse: a one-row
     _evolve_pulse_rows whose emission draws come from rng."""
-    triggers, recoils = draw_emission_pairs(rng, pulse.n_constituents, params.kbar)
+    triggers, recoils = split_emission_pairs(rng.random(2 * pulse.n_constituents), params.kbar)
     fire = triggers[None, :] < params.eta_per_pulse
     phi, rho = _evolve_pulse_rows(
         np.array([phi]), np.array([rho]), np.array([kick_factor]), pulse, fire, recoils[None, :]
@@ -214,14 +221,20 @@ class Wavefunction:
     def norm_sq(self) -> float:
         return float(_norms_sq(self.c))
 
+    def _ladder(self):
+        """The row as the ensemble returns it: momenta n + q/kbar in recoils
+        (1, size) and normalised populations (1, size)."""
+        c, q = self._row()
+        return _grids(c.shape[1])[0] + q[:, None] / self.kbar, _populations(c)
+
     def momentum_expectation(self) -> float:
         """<rho + q> in scaled momentum units."""
-        _, weights, momenta = _energies(*self._row(), self.kbar)
+        momenta, weights = self._ladder()
         return float(np.sum(weights * momenta) * self.kbar)
 
     def energy_recoils(self) -> float:
         """<(rho + q)^2>/2 in two-photon-recoil units."""
-        return float(_energies(*self._row(), self.kbar)[0][0])
+        return float(trajectory_energies(*self._ladder())[0])
 
 
 def init_wavefunction(n_max: int, initial_momentum: float, kbar: float) -> Wavefunction:

@@ -19,7 +19,6 @@ from aokr.analysis import (
     classify_lineshape,
     energy,
     energy_stderr,
-    mean_stderr,
     zero_velocity_fraction,
 )
 from aokr.classical_sim import EnsembleParams, run_classical_ensemble
@@ -74,7 +73,8 @@ def classical_energy(timeline, params, n_traj):
 
 def quantum_energy(timeline, params, n_traj):
     result = run_mcwf_trajectories(timeline, params, n_traj, n_workers=WORKERS)
-    return result, float(np.mean(result.energies)), mean_stderr(result.energies)
+    ladders = result.momenta, result.weights
+    return result, energy(*ladders), energy_stderr(*ladders)
 
 
 def quantum_distribution(result):
@@ -108,7 +108,7 @@ def test_criterion_1_elliptic_correctness():
 
 def test_criterion_2_quantum_unitarity_and_oracle():
     # norm drift over 100 eta=0 kicks on the production grid
-    spec = single_train_spec(100, 10.1, PulseShapeParams.square(0.016), KBAR)
+    spec = single_train_spec(100, 10.1, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
     tl = resolve_timeline(spec)
     psi = init_wavefunction(1024, 0.1 * KBAR, KBAR)
     prev_end = None
@@ -158,7 +158,7 @@ def test_criterion_3_quasilinear_diffusion():
     # (PRL 44, 1586 (1980)).  kappa = 10.1 sits near a J2 maximum, where
     # C ~ 0.62; the companion test below checks the same formula at a J2
     # zero, where C ~ 1.
-    spec = single_train_spec(30, 10.1, PulseShapeParams.square(0.016), KBAR)
+    spec = single_train_spec(30, 10.1, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
     tl = resolve_timeline(spec)
     params = ensemble(0.0, 3003, temperature_uk=0.0)
     _, e, se = classical_energy(tl, params, 10000)
@@ -177,7 +177,7 @@ def test_criterion_3_companion_quasilinear_at_correlation_free_kick():
     # At kappa = 11.62 (a zero of J2) the kick-to-kick correlations
     # cancel and the same pipeline does reproduce N kappa^2/(4 kbar^2).
     kappa = 11.62
-    spec = single_train_spec(30, kappa, PulseShapeParams.square(0.0016), KBAR)
+    spec = single_train_spec(30, kappa, PulseShapeParams(0.0, 0.0, 0.0016), KBAR)
     tl = resolve_timeline(spec)
     params = ensemble(0.0, 3103, temperature_uk=0.0)
     _, e, se = classical_energy(tl, params, 10000)

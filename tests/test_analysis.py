@@ -12,10 +12,11 @@ from aokr.analysis import (
     dominant_phase_frequency,
     energy,
     energy_stderr,
+    mean_stderr,
     momentum_bin_grid,
     zero_velocity_fraction,
 )
-from oracles import load_dist_csv
+from oracles import dist_energy, load_dist_csv
 
 
 def dist_from_masses(centers, masses):
@@ -62,11 +63,11 @@ class TestDistribution:
 class TestEnergy:
     def test_all_mass_at_zero(self):
         d = dist_from_masses([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
-        assert energy(d) == 0.0
+        assert dist_energy(d) == 0.0
 
     def test_equal_masses_at_unit(self):
         d = dist_from_masses([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5])
-        assert energy(d) == pytest.approx(0.5)
+        assert dist_energy(d) == pytest.approx(0.5)
 
     def test_gaussian_samples(self):
         rng = np.random.default_rng(2)
@@ -83,7 +84,26 @@ class TestEnergy:
         values = rng.normal(0, 4, 100000)
         w = 0.5
         d = MomentumDistribution.from_samples(values, w)
-        assert abs(energy(d) - energy(values)) <= w**2 / 24 + 0.05
+        assert abs(dist_energy(d) - energy(values)) <= w**2 / 24 + 0.05
+
+    def test_sample_energy_is_half_the_mean_square_bitwise(self):
+        # classical rows reduce as np.mean(n^2)/2 and mean_stderr(n^2/2)
+        # did before energy() served them, so their outputs keep every bit
+        rng = np.random.default_rng(5)
+        for size in (2, 3, 64, 1000, 10001):
+            m = rng.normal(0, 7, size)
+            assert energy(m) == np.mean(m**2) / 2
+            assert energy_stderr(m) == mean_stderr(m**2 / 2.0)
+
+    def test_weighted_ladder_rows_by_hand(self):
+        # row 0 sits at integer momenta, row 1 is offset by q/kbar = 0.3:
+        # <n^2>/2 = 0.5 (0.25 + 0.25) = 0.25 and
+        # 0.5 (0.1 * 0.49 + 0.6 * 0.09 + 0.3 * 1.69) = 0.305
+        momenta = np.array([[-1.0, 0.0, 1.0], [-0.7, 0.3, 1.3]])
+        weights = np.array([[0.25, 0.5, 0.25], [0.1, 0.6, 0.3]])
+        assert energy(momenta, weights) == pytest.approx(0.2775, rel=1e-14)
+        # two rows: the standard error is half their difference
+        assert energy_stderr(momenta, weights) == pytest.approx(0.0275, rel=1e-12)
 
     def test_stderr_scaling(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,10 @@
 """The benchmark's traced CLI still sees every engine call.
 
 bench/tracer.py wraps the engine entry points the run layer calls
-(``runner.run_classical_ensemble``, ``runner.run_mcwf_trajectories``) and
-the engines' ``chunked_map``.  A refactor that stopped reaching them would
-zero the benchmark's per-layer metrics without failing a benchmark test.
+(``runner.run_classical_ensemble``, ``runner.run_mcwf_trajectories``), the
+engines' ``chunked_map`` and the analysis functions by name.  A refactor
+that stopped reaching them would zero the benchmark's per-layer metrics
+without failing a benchmark test.
 """
 
 import json
@@ -43,3 +44,6 @@ def test_traced_phase_sweep_has_one_ensemble_span_per_engine_and_point(tmp_path)
     maps = by_name.get("parallel.chunked_map", [])
     assert maps and all(s["parent"] in ensemble_ids for s in maps)
     assert {s["parent"] for s in maps} == ensemble_ids
+    # every row, of either engine, reduces its ensemble through these two
+    for name in ("analysis.energy", "analysis.energy_stderr"):
+        assert len(by_name.get(name, [])) == 2 * len(ensembles), name

@@ -123,7 +123,7 @@ class TestEvolvePulse:
     def test_impulse_limit(self):
         # narrow weak square pulse: delta rho ~ kick_factor * kappa * sin(phi)
         kappa = 0.01
-        spec = single_train_spec(1, kappa, PulseShapeParams.square(0.002), KBAR)
+        spec = single_train_spec(1, kappa, PulseShapeParams(0.0, 0.0, 0.002), KBAR)
         tl = resolve_timeline(spec)
         params = params_with(eta_per_pulse=0.0)
         rng = np.random.default_rng(1)
@@ -148,7 +148,7 @@ class TestEvolvePulse:
 
 class TestEnsemble:
     def test_zero_kick_strength_preserves_momentum(self):
-        spec = single_train_spec(5, 0.0, PulseShapeParams.square(0.016), KBAR)
+        spec = single_train_spec(5, 0.0, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
         tl = resolve_timeline(spec)
         params = params_with(rng_seed=9)
         samples = run_classical_ensemble(tl, params, 10)
@@ -157,7 +157,7 @@ class TestEnsemble:
         assert samples[3] == rho / KBAR
 
     def test_energy_conserved_with_zero_kappa_and_eta(self):
-        spec = single_train_spec(5, 0.0, PulseShapeParams.square(0.016), KBAR)
+        spec = single_train_spec(5, 0.0, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
         tl = resolve_timeline(spec)
         params = params_with(rng_seed=2)
         s1 = run_classical_ensemble(tl, params, 64)

@@ -69,7 +69,7 @@ class TestEnvelope:
         assert pulse_envelope(on + 1e-6, 1.0, shape) >= 0.1 * (1 - 1e-3)
 
     def test_square_profile(self):
-        shape = PulseShapeParams.square(0.016)
+        shape = PulseShapeParams(0.0, 0.0, 0.016)
         assert pulse_envelope(0.0, 631.25, shape) == 631.25
         assert pulse_envelope(0.0079, 631.25, shape) == 631.25
         assert pulse_envelope(0.0081, 631.25, shape) == 0.0
@@ -126,12 +126,12 @@ class TestEdges:
         assert on == -0.005
         assert _raw_envelope(np.nextafter(off, np.inf), shape) <= 0.1 < _raw_envelope(off, shape)
         sharp = PulseShapeParams(1e-320, 0.0, 0.01)
-        assert unit_pulse_area(sharp) == unit_pulse_area(PulseShapeParams.square(0.01))
+        assert unit_pulse_area(sharp) == unit_pulse_area(PulseShapeParams(0.0, 0.0, 0.01))
 
     def test_tiny_edges_evaluate_without_warnings(self):
         # the erf arguments overflow to +-inf, which gives the right values;
         # numpy must not warn about it on every evaluation
-        square = PulseShapeParams.square(0.01)
+        square = PulseShapeParams(0.0, 0.0, 0.01)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for edge in (1e-300, 1e-310):
@@ -201,7 +201,7 @@ class TestNormalizeHeight:
     """A train's peak height is its kappa over the shape's unit pulse area."""
 
     def test_square_pulse_arithmetic(self):
-        shape = PulseShapeParams.square(0.016)
+        shape = PulseShapeParams(0.0, 0.0, 0.016)
         assert unit_pulse_area(shape) == pytest.approx(0.016, rel=1e-12)
         (pulse,) = resolve_timeline(single_train_spec(1, 10.1, shape, KBAR)).pulses
         assert pulse.k_mid.max() == pytest.approx(631.25, rel=1e-12)
@@ -276,7 +276,7 @@ class TestResolveTimeline:
         assert np.allclose(gaps, gaps[0], atol=1e-12)
 
     def test_single_train_square_grid(self):
-        spec = single_train_spec(8, 10.1, PulseShapeParams.square(0.016), KBAR)
+        spec = single_train_spec(8, 10.1, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
         tl = resolve_timeline(spec)
         assert tl.n_res == 8
         for pulse in tl.pulses:
@@ -379,7 +379,7 @@ class TestResolveTimeline:
 
 
 shapes = st.one_of(
-    st.builds(PulseShapeParams.square, st.floats(1e-3, 0.5)),
+    st.floats(1e-3, 0.5).map(lambda w: PulseShapeParams(0.0, 0.0, w)),
     st.builds(
         lambda rise, fall, fwhm, thr: PulseShapeParams(rise * fwhm, fall * fwhm, fwhm, thr),
         st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
@@ -401,11 +401,11 @@ shapes = st.one_of(
     min_steps=st.integers(1, 40),
 )
 # near-coincident pairs: centres 24 and 24 + 4e-15, and 0 and 2.8e-11
-@example(1.3, 216.0, 100, 1.0, 1.0, PulseShapeParams.square(0.0016), 8)
-@example(1.0, 1e-8, 2, 1.0, 1.0, PulseShapeParams.square(0.5), 1)
+@example(1.3, 216.0, 100, 1.0, 1.0, PulseShapeParams(0.0, 0.0, 0.0016), 8)
+@example(1.0, 1e-8, 2, 1.0, 1.0, PulseShapeParams(0.0, 0.0, 0.5), 1)
 # square windows as wide as train 2's period: the two resultant pulses lie one
 # ulp apart, so an end derived as start + n_steps * step can round onto the next start
-@example(0.30177486690346206, 0.0, 7, 0.0, 1.0, PulseShapeParams.square(0.30177486690346206), 1)
+@example(0.30177486690346206, 0.0, 7, 0.0, 1.0, PulseShapeParams(0.0, 0.0, 0.30177486690346206), 1)
 def test_resolved_timeline_properties(r, psi0_deg, n_tot, kappa1, kappa2, shape, min_steps):
     spec = build_train_spec(r, psi0_deg / 360.0, n_tot, kappa1, kappa2, shape, KBAR)
     tl = resolve_timeline(spec, min_steps)

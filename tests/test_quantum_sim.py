@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aokr import quantum_sim
-from aokr.analysis import MomentumDistribution, energy, momentum_bin_grid
+from aokr.analysis import MomentumDistribution, energy, momentum_bin_grid, trajectory_energies
 from aokr.classical_sim import EnsembleParams, draw_momentum_and_kick_factor, run_classical_ensemble
 from aokr.pulse_train import PulseShapeParams, build_train_spec, resolve_timeline
 from aokr.quantum_sim import (
@@ -20,6 +20,7 @@ from aokr.streams import ENGINE_QUANTUM, trajectory_stream
 from oracles import (
     Wavefunction,
     dense_kick_propagator,
+    dist_energy,
     free_propagate,
     init_wavefunction,
     kick_step,
@@ -124,7 +125,7 @@ class TestKickStep:
     def test_norm_decay_matches_eta(self):
         # weak pulse: norm^2 after a full pulse of area kappa is ~ 1 - eta
         kappa, eta = 0.3, 0.04
-        spec = single_train_spec(1, kappa, PulseShapeParams.square(0.016), KBAR)
+        spec = single_train_spec(1, kappa, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
         pulse = resolve_timeline(spec).pulses[0]
         psi = init_wavefunction(256, 0.0, KBAR)
         for k in pulse.k_mid:
@@ -217,7 +218,7 @@ class TestJump:
         )
 
     def test_no_jumps_without_decay(self):
-        spec = single_train_spec(10, 5.0, PulseShapeParams.square(0.016), KBAR)
+        spec = single_train_spec(10, 5.0, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
         tl = resolve_timeline(spec)
         result = run_mcwf_trajectories(tl, params_with(eta_per_pulse=0.0), 8, n_max=128)
         assert np.all(result.jump_counts == 0)
@@ -266,11 +267,12 @@ class TestBatchKernel:
         n_traj, n_max = 3, 512
         result = run_mcwf_trajectories(tl, params, n_traj, n_max=n_max)
         assert np.all(result.jump_counts == 0)
+        energies = trajectory_energies(result.momenta, result.weights)
         for i in range(n_traj):
             stream = trajectory_stream(params.rng_seed, 0, ENGINE_QUANTUM, i)
             rho0, _ = draw_momentum_and_kick_factor(params, stream)
             psi, _ = scalar_run(init_wavefunction(n_max, rho0, KBAR), tl)
-            assert abs(result.energies[i] - psi.energy_recoils()) < 1e-10
+            assert abs(energies[i] - psi.energy_recoils()) < 1e-10
 
     def test_matches_lazy_stream_route_with_jumps_on_overlapped_timeline(self):
         # r = 1, psi0 = 0: every resultant pulse has two constituents, and
@@ -285,46 +287,47 @@ class TestBatchKernel:
         params = params_with(eta_per_pulse=eta, rng_seed=1)
         result = run_mcwf_trajectories(tl, params, n_traj, n_max=n_max, chunk_size=3)
         assert result.jump_counts.max() >= 2  # pairs past the first are read
+        energies = trajectory_energies(result.momenta, result.weights)
         for i in range(n_traj):
             stream = trajectory_stream(params.rng_seed, 0, ENGINE_QUANTUM, i)
             rho0, _ = draw_momentum_and_kick_factor(params, stream)
             psi, jumps = scalar_run(init_wavefunction(n_max, rho0, KBAR), tl, eta, stream)
             assert result.jump_counts[i] == jumps
-            assert abs(result.energies[i] - psi.energy_recoils()) < 1e-10
+            assert abs(energies[i] - psi.energy_recoils()) < 1e-10
 
 
 class TestEnsemble:
     def test_zero_kappa_returns_initial_thermal(self):
-        spec = single_train_spec(5, 0.0, PulseShapeParams.square(0.016), KBAR)
+        spec = single_train_spec(5, 0.0, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
         tl = resolve_timeline(spec)
         params = params_with(rng_seed=21)
         result = run_mcwf_trajectories(tl, params, 400, n_max=128)
         # energies must match the initial thermal draw
         sigma = params.sigma_n
-        assert np.mean(result.energies) == pytest.approx(sigma**2 / 2, rel=0.15)
+        assert energy(result.momenta, result.weights) == pytest.approx(sigma**2 / 2, rel=0.15)
         dist = MomentumDistribution.from_samples(result.momenta, 0.5, result.weights)
-        assert energy(dist) == pytest.approx(sigma**2 / 2, rel=0.15)
+        assert dist_energy(dist) == pytest.approx(sigma**2 / 2, rel=0.15)
 
     def test_worker_count_invariance(self):
-        spec = single_train_spec(4, 10.1, PulseShapeParams.square(0.016), KBAR)
+        spec = single_train_spec(4, 10.1, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
         tl = resolve_timeline(spec)
         params = params_with(eta_per_pulse=0.028, rng_seed=8)
         a = run_mcwf_trajectories(tl, params, 96, n_max=128, n_workers=1, chunk_size=32)
         b = run_mcwf_trajectories(tl, params, 96, n_max=128, n_workers=3, chunk_size=32)
-        for field in ("momenta", "weights", "energies", "jump_counts"):
+        for field in ("momenta", "weights", "jump_counts"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         # a row's result does not depend on which rows share its chunk
         for chunk_size in (1, 7, 96):
             c = run_mcwf_trajectories(tl, params, 96, n_max=128, chunk_size=chunk_size)
-            for field in ("momenta", "weights", "energies", "jump_counts"):
+            for field in ("momenta", "weights", "jump_counts"):
                 assert np.array_equal(getattr(c, field), getattr(a, field)), (field, chunk_size)
         # rows of one block that jump at the same pulse: one kick, all rows in one chunk
-        tl = resolve_timeline(single_train_spec(1, 10.1, PulseShapeParams.square(0.016), KBAR))
+        tl = resolve_timeline(single_train_spec(1, 10.1, PulseShapeParams(0.0, 0.0, 0.016), KBAR))
         params = params_with(eta_per_pulse=0.9, rng_seed=8)
         block = run_mcwf_trajectories(tl, params, 96, n_max=128, chunk_size=96)
         assert block.jump_counts.sum() >= 2
         rows = run_mcwf_trajectories(tl, params, 96, n_max=128, chunk_size=1)
-        for field in ("momenta", "weights", "energies", "jump_counts"):
+        for field in ("momenta", "weights", "jump_counts"):
             assert np.array_equal(getattr(rows, field), getattr(block, field)), field
 
     def test_both_histogram_tails_keep_their_mass(self):
@@ -402,7 +405,7 @@ class TestEnsemble:
     def test_grid_overflow_detected(self):
         # small-kbar diffusion on a deliberately tight grid must trip the
         # boundary guard instead of aliasing silently
-        spec = single_train_spec(10, 3.0, PulseShapeParams.square(0.016), 0.3)
+        spec = single_train_spec(10, 3.0, PulseShapeParams(0.0, 0.0, 0.016), 0.3)
         tl = resolve_timeline(spec)
         params = EnsembleParams(kbar=0.3, temperature_uk=1.0, cloud_sigma_mm=0.0, rng_seed=1)
         with pytest.raises(GridOverflowError) as info:
@@ -410,7 +413,7 @@ class TestEnsemble:
         assert "trajectory" in str(info.value)
 
     def test_unitary_norm_drift_100_kicks(self):
-        spec = single_train_spec(100, 10.1, PulseShapeParams.square(0.016), KBAR)
+        spec = single_train_spec(100, 10.1, PulseShapeParams(0.0, 0.0, 0.016), KBAR)
         tl = resolve_timeline(spec)
         psi, _ = scalar_run(init_wavefunction(1024, 0.1 * KBAR, KBAR), tl)
         assert abs(psi.norm_sq() - 1.0) < 1e-10
@@ -420,13 +423,13 @@ class TestEnsemble:
         # <rho^2> agrees between the engines to 5%
         kbar = 0.2
         kappa = 4.0
-        spec = single_train_spec(5, kappa, PulseShapeParams.square(0.016), kbar)
+        spec = single_train_spec(5, kappa, PulseShapeParams(0.0, 0.0, 0.016), kbar)
         tl = resolve_timeline(spec)
         cl = EnsembleParams(kbar=kbar, temperature_uk=0.5, cloud_sigma_mm=0.0, rng_seed=3)
         samples = run_classical_ensemble(tl, cl, 40000)
         rho2_classical = np.mean((samples * kbar) ** 2)
         result = run_mcwf_trajectories(tl, cl, 600)
-        rho2_quantum = np.mean(result.energies) * 2 * kbar**2
+        rho2_quantum = energy(result.momenta, result.weights) * 2 * kbar**2
         assert rho2_quantum == pytest.approx(rho2_classical, rel=0.05)
 
 
@@ -450,7 +453,12 @@ class TestGridChoice:
         assert wide.n_max == 1024
         assert chosen.jump_counts.sum() > 0
         assert np.array_equal(chosen.jump_counts, wide.jump_counts)
-        np.testing.assert_allclose(chosen.energies, wide.energies, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            trajectory_energies(chosen.momenta, chosen.weights),
+            trajectory_energies(wide.momenta, wide.weights),
+            rtol=1e-12,
+            atol=0,
+        )
 
     def test_chosen_grid_is_chunk_and_worker_invariant(self):
         # only some rows outgrow n_max = 64, yet every row moves to 128,
@@ -468,7 +476,7 @@ class TestGridChoice:
                    dict(chunk_size=8, n_workers=3)):
             b = run_mcwf_trajectories(tl, params, self.N_TRAJ, **kw)
             assert b.n_max == a.n_max == 128, kw
-            for field in ("momenta", "weights", "energies", "jump_counts"):
+            for field in ("momenta", "weights", "jump_counts"):
                 assert np.array_equal(getattr(b, field), getattr(a, field)), (field, kw)
 
     def test_one_bincount_matches_the_per_row_fold(self):
@@ -498,17 +506,18 @@ class TestGridChoice:
         assert result.n_max == 64
         for lo, hi in ((0, 10), (10, 20), (20, self.N_TRAJ)):
             job = (tl, params, lo, hi, 64, BOUNDARY_OCCUPATION_LIMIT)
-            energies, _, _, jumps = _quantum_chunk(job)
-            assert np.array_equal(result.energies[lo:hi], energies)
+            populations, _, jumps = _quantum_chunk(job)
+            assert np.array_equal(result.weights[lo:hi], populations)
             assert np.array_equal(result.jump_counts[lo:hi], jumps)
         settled = run_mcwf_trajectories(tl, params, self.N_TRAJ)
-        assert not np.array_equal(result.energies, settled.energies)
+        assert settled.n_max == 128
+        assert energy(result.momenta, result.weights) != energy(settled.momenta, settled.weights)
 
     def test_overflow_at_the_ceiling_asks_for_an_explicit_n_max(self, monkeypatch):
         # twice test_grid_overflow_detected's kick outgrows n_max = 64 and,
         # at the boundary limit, a ceiling lowered to 128
         monkeypatch.setattr(quantum_sim, "N_MAX_CEILING", 128)
-        spec = single_train_spec(10, 6.0, PulseShapeParams.square(0.016), 0.3)
+        spec = single_train_spec(10, 6.0, PulseShapeParams(0.0, 0.0, 0.016), 0.3)
         tl = resolve_timeline(spec)
         params = EnsembleParams(kbar=0.3, temperature_uk=1.0, cloud_sigma_mm=0.0, rng_seed=1)
         with pytest.raises(GridOverflowError) as info:

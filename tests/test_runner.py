@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from aokr.analysis import energy, energy_stderr
 from aokr.classical_sim import run_classical_ensemble
 from aokr.pulse_train import build_train_spec, resolve_timeline
+from aokr.quantum_sim import run_mcwf_trajectories
 from aokr.runner import (
     RunConfig,
     emit_outputs,
@@ -278,11 +279,8 @@ class TestSweeps:
         run(cfg)
         assert len(calls) == 3
 
-    def test_classical_row_reduces_the_ensemble_momenta(self):
-        # the run layer reduces per-trajectory energies n^2/2; that equals
-        # energy() and energy_stderr() of the momenta bit for bit
-        cfg = fast_config(eta=0.028)
-        (row,) = run(cfg)
+    @staticmethod
+    def point_timeline(cfg):
         spec = build_train_spec(
             cfg.ratio,
             cfg.psi0_deg / 360.0,
@@ -292,10 +290,29 @@ class TestSweeps:
             cfg.pulse_shape(),
             cfg.kbar_effective,
         )
-        tl = resolve_timeline(spec, cfg.min_steps_per_pulse)
+        return resolve_timeline(spec, cfg.min_steps_per_pulse)
+
+    def test_classical_row_reduces_the_ensemble_momenta(self):
+        # the row's energy and standard error are energy() and
+        # energy_stderr() of the engine's momenta bit for bit
+        cfg = fast_config(eta=0.028)
+        (row,) = run(cfg)
+        tl = self.point_timeline(cfg)
         m = run_classical_ensemble(tl, cfg.ensemble_params(), cfg.n_traj_classical)
         assert row.energy == energy(m)
         assert row.energy_stderr == energy_stderr(m)
+
+    def test_quantum_row_reduces_the_ensemble_ladders(self):
+        # the quantum row goes through the same two calls, on the engine's
+        # ladders weighted by their populations
+        cfg = fast_config(engine="both", eta=0.028)
+        _, row = run(cfg)
+        assert row.engine == "quantum"
+        tl = self.point_timeline(cfg)
+        r = run_mcwf_trajectories(tl, cfg.ensemble_params(), cfg.n_traj_quantum, n_max=cfg.n_max)
+        assert r.jump_counts.sum() > 0
+        assert row.energy == energy(r.momenta, r.weights)
+        assert row.energy_stderr == energy_stderr(r.momenta, r.weights)
 
 
 class TestOutputs:

@@ -4,7 +4,6 @@ import pytest
 from aokr.streams import (
     ENGINE_CLASSICAL,
     ENGINE_QUANTUM,
-    draw_emission_pairs,
     split_emission_pairs,
     trajectory_stream,
     trajectory_streams,
@@ -51,9 +50,6 @@ def test_block_of_pairs_splits_as_each_row_draws_them():
     for i, rng in enumerate(trajectory_streams(9, ENGINE_QUANTUM, range(rows))):
         rng.random(out=block[i])
     uniforms, recoils = split_emission_pairs(block, kbar)
-    for i, rng in enumerate(trajectory_streams(9, ENGINE_QUANTUM, range(rows))):
-        u, r = draw_emission_pairs(rng, n_pairs, kbar)
-        assert np.array_equal(uniforms[i], u) and np.array_equal(recoils[i], r)
     for i, rng in enumerate(trajectory_streams(9, ENGINE_QUANTUM, range(rows))):
         lazy = [(rng.random(), rng.uniform(-kbar / 2, kbar / 2)) for _ in range(n_pairs)]
         assert lazy == list(zip(uniforms[i], recoils[i]))
